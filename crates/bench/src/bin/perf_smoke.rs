@@ -41,7 +41,18 @@
 //!
 //! With `--baseline`, per-workload `baseline_facts_per_sec` and
 //! `speedup` fields are merged in from a previous report, so one binary
-//! produces a self-contained before/after comparison.
+//! produces a self-contained before/after comparison. A malformed
+//! argument (an unknown flag, a missing value, a `--repeat` that is not
+//! a whole number of at least 1, an unreadable baseline) prints the
+//! usage line and exits with code 2 before any workload runs.
+//!
+//! Every workload evaluated with [`EvalStats`] also reports
+//! `max_probes_per_derived`: the highest join-probes-per-derived-tuple
+//! ratio over its non-aggregate rules that derived at least one tuple,
+//! and `level_dashboard_beaten_probes_per_derived` singles out the
+//! cautious `beaten` self-join. Probe counts repeat exactly, so CI pins
+//! a ceiling on them with no noise band: an accidental cross product
+//! fails it outright.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,7 +64,7 @@ use multilog_core::reduce::EdbUpdate;
 use multilog_core::{
     parse_clause, parse_database, reduce::ReducedEngine, BeliefServer, EngineOptions,
 };
-use multilog_datalog::{parse_program, Const, Engine, IncrementalEngine};
+use multilog_datalog::{parse_program, Const, Engine, EvalStats, IncrementalEngine};
 
 struct WorkloadResult {
     name: &'static str,
@@ -61,6 +72,27 @@ struct WorkloadResult {
     iterations: usize,
     wall_ms: f64,
     facts_per_sec: f64,
+    /// See [`max_probes_per_derived`]; `None` where the workload's engine
+    /// reports no per-rule statistics.
+    max_probes_per_derived: Option<f64>,
+}
+
+/// Join probes per derived tuple of one rule.
+fn probes_per_derived(rule: &multilog_datalog::RuleStats) -> f64 {
+    rule.join_probes as f64 / rule.facts_derived.max(1) as f64
+}
+
+/// The highest join-probes-per-derived-tuple ratio over the
+/// non-aggregate rules of `stats` that derived at least one tuple.
+/// Aggregates are left out: they fold a whole body into a handful of
+/// group rows, so their ratio measures the grouping, not the join.
+fn max_probes_per_derived(stats: &EvalStats) -> f64 {
+    stats
+        .per_rule
+        .iter()
+        .filter(|r| !r.aggregate && r.facts_derived > 0)
+        .map(probes_per_derived)
+        .fold(0.0, f64::max)
 }
 
 fn tc_chain_src(n: usize) -> String {
@@ -113,6 +145,7 @@ fn run_datalog(
             iterations: stats.iterations,
             wall_ms,
             facts_per_sec: facts as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_probes_per_derived(&stats)),
         };
         if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best = Some(result);
@@ -200,6 +233,7 @@ fn guard_overhead_trial(
                 iterations: stats.iterations,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 facts_per_sec: facts as f64 / wall.as_secs_f64(),
+                max_probes_per_derived: Some(max_probes_per_derived(&stats)),
             };
             walls[slot].push(result.wall_ms);
             if best[slot]
@@ -289,6 +323,7 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             iterations: commits,
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: commits as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: None,
         };
         if best_inc.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best_inc = Some(result);
@@ -298,13 +333,15 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
         // from scratch.
         let start = Instant::now();
         let mut facts = 0;
+        let mut max_ratio = 0.0f64;
         for minus in &minus_programs {
             for variant in [minus, &program] {
-                let db = Engine::new(variant)
+                let (db, stats) = Engine::new(variant)
                     .expect("workload stratifies")
-                    .run()
+                    .run_with_stats()
                     .expect("workload evaluates");
                 facts = db.fact_count();
+                max_ratio = max_ratio.max(max_probes_per_derived(&stats));
             }
         }
         let wall = start.elapsed();
@@ -314,6 +351,7 @@ fn run_update_churn(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             iterations: commits,
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: commits as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_ratio),
         };
         if best_rec.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best_rec = Some(result);
@@ -341,7 +379,7 @@ fn run_point_query(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
         // Full: materialize everything, then answer from the database.
         let engine = Engine::new(&program).expect("workload stratifies");
         let start = Instant::now();
-        let (db, _) = engine.run_with_stats().expect("workload evaluates");
+        let (db, stats) = engine.run_with_stats().expect("workload evaluates");
         let answers = multilog_datalog::run_query(&db, &goal).expect("goal evaluates");
         let wall = start.elapsed();
         assert_eq!(answers.len(), n, "n0 reaches every later node");
@@ -352,6 +390,7 @@ fn run_point_query(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             iterations: 1,
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: facts as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_probes_per_derived(&stats)),
         };
         if best_full
             .as_ref()
@@ -367,7 +406,10 @@ fn run_point_query(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
         let (answers, stats) = engine.run_for_goal(&goal).expect("goal evaluates");
         let wall = start.elapsed();
         assert_eq!(answers.len(), n, "demand answers match full");
-        let demand = stats.demand.expect("goal runs record demand stats");
+        let demand = stats
+            .demand
+            .as_ref()
+            .expect("goal runs record demand stats");
         assert_eq!(demand.strategy, "magic", "bound goal engages the rewrite");
         let facts = demand.facts_materialized;
         let result = WorkloadResult {
@@ -376,6 +418,7 @@ fn run_point_query(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
             iterations: 1,
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: facts as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_probes_per_derived(&stats)),
         };
         if best_magic
             .as_ref()
@@ -443,6 +486,7 @@ fn run_social_reach(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
                 iterations: stats.iterations,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 facts_per_sec: facts as f64 / wall.as_secs_f64(),
+                max_probes_per_derived: Some(max_probes_per_derived(&stats)),
             };
             let best = if slot == 0 {
                 &mut best_op
@@ -488,15 +532,17 @@ fn run_social_reach(repeat: usize) -> (WorkloadResult, WorkloadResult, f64) {
 /// Run the per-clearance aggregate dashboard end-to-end: reduce a
 /// 3000-cell polyinstantiated `emp` database at top clearance and answer
 /// the `total(H, N)` dashboard goal (one `count` row per level) through
-/// the materialized fixpoint. Returns the best run plus the row count;
+/// the materialized fixpoint. Returns the best run, the row count, and
+/// the join probes per derived tuple of the cautious `beaten` self-join;
 /// the demand path is asserted to agree once outside the timers.
-fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize) {
+fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize, f64) {
     let spec = multilog_bench::workload::DashboardSpec::default();
     let db = parse_database(&multilog_bench::workload::synthetic_dashboard(&spec))
         .expect("synthetic dashboard parses");
     let top = format!("l{}", spec.depth - 1);
     let mut best: Option<WorkloadResult> = None;
     let mut rows = 0usize;
+    let mut beaten_ratio = 0.0;
     for _ in 0..repeat {
         let start = Instant::now();
         let red = ReducedEngine::new(&db, &top).expect("dashboard reduces");
@@ -507,12 +553,19 @@ fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize) {
         assert_eq!(answers.len(), spec.depth, "one dashboard row per level");
         rows = answers.len();
         let facts = red.database().fact_count();
+        beaten_ratio = red
+            .stats()
+            .per_rule
+            .iter()
+            .find(|r| r.rule.starts_with("beaten("))
+            .map_or(0.0, probes_per_derived);
         let result = WorkloadResult {
             name: "level_dashboard",
             facts,
             iterations: rows,
             wall_ms: wall.as_secs_f64() * 1e3,
             facts_per_sec: facts as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_probes_per_derived(red.stats())),
         };
         if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best = Some(result);
@@ -528,7 +581,7 @@ fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize) {
             "demand dashboard answers must match materialized"
         );
     }
-    (best.expect("repeat >= 1"), rows)
+    (best.expect("repeat >= 1"), rows, beaten_ratio)
 }
 
 /// What the multi-session server did under churn: reader-side query
@@ -757,7 +810,7 @@ fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usi
                 .expect("goal evaluates");
             let wall = start.elapsed();
             assert!(!answers.is_empty(), "k0 data exists at l0");
-            let demand = stats.demand.expect("demand runs record stats");
+            let demand = stats.demand.as_ref().expect("demand runs record stats");
             let best = if slot == 0 {
                 assert_eq!(demand.pruned_rules, 0, "no pruning without the option");
                 &mut best_plain
@@ -777,6 +830,7 @@ fn run_demand_pruned(repeat: usize) -> (WorkloadResult, WorkloadResult, f64, usi
                 iterations: 1,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 facts_per_sec: facts as f64 / wall.as_secs_f64(),
+                max_probes_per_derived: Some(max_probes_per_derived(&stats)),
             };
             if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
                 *best = Some(result);
@@ -821,6 +875,7 @@ fn run_reduction(repeat: usize) -> WorkloadResult {
             iterations: 0,
             wall_ms,
             facts_per_sec: facts as f64 / wall.as_secs_f64(),
+            max_probes_per_derived: Some(max_probes_per_derived(red.stats())),
         };
         if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best = Some(result);
@@ -857,31 +912,64 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-fn main() {
-    let mut out_path = String::from("BENCH_pr10.json");
-    let mut baseline_path: Option<String> = None;
-    let mut repeat = 3usize;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--out" => out_path = argv.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = Some(argv.next().expect("--baseline needs a path")),
+const USAGE: &str = "usage: perf_smoke [--out FILE] [--baseline FILE] [--repeat N]  (N >= 1)";
+
+/// Print `message` and the usage line, then exit with code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("perf_smoke: {message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The parsed command line.
+struct Args {
+    out_path: String,
+    baseline_path: Option<String>,
+    repeat: usize,
+}
+
+/// Parse the command line; `Err` carries the message for
+/// [`usage_error`]. A flag's value may not itself look like a flag, so
+/// `--out --repeat 3` reports the missing path instead of writing a file
+/// named `--repeat`.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        out_path: String::from("BENCH_pr10.json"),
+        baseline_path: None,
+        repeat: 3,
+    };
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--out" => args.out_path = value()?,
+            "--baseline" => args.baseline_path = Some(value()?),
             "--repeat" => {
-                repeat = argv
-                    .next()
-                    .expect("--repeat needs a count")
+                let v = value()?;
+                args.repeat = v
                     .parse()
-                    .expect("--repeat takes an integer")
+                    .ok()
+                    .filter(|&n: &usize| n >= 1)
+                    .ok_or_else(|| format!("--repeat takes a whole number >= 1, got `{v}`"))?;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
+    Ok(args)
+}
 
+fn main() {
+    let Args {
+        out_path,
+        baseline_path,
+        repeat,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
     let baseline = baseline_path.map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
+        std::fs::read_to_string(&p)
+            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {p}: {e}")))
     });
 
     // tc_chain_guarded re-runs tc_chain with every guard armed (deadline,
@@ -918,7 +1006,7 @@ fn main() {
     let (social_op, social_rules, social_speedup) = run_social_reach(repeat);
     // level_dashboard answers per-clearance count aggregates end-to-end
     // through the reduction.
-    let (level_dashboard, dashboard_rows) = run_level_dashboard(repeat);
+    let (level_dashboard, dashboard_rows, dashboard_beaten_ratio) = run_level_dashboard(repeat);
     // concurrent_churn drives the multi-session belief server: reader
     // threads refresh + query pinned snapshots while the writer commits.
     let churn = run_concurrent_churn(4, 60);
@@ -967,6 +1055,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"social_reach_speedup\": {social_speedup:.2},\n  \"level_dashboard_rows\": {dashboard_rows},\n"
+    ));
+    json.push_str(&format!(
+        "  \"level_dashboard_beaten_probes_per_derived\": {dashboard_beaten_ratio:.2},\n"
     ));
     json.push_str("  \"concurrent_churn\": {\n");
     json.push_str(&format!("    \"readers\": {},\n", churn.readers));
@@ -1021,6 +1112,9 @@ fn main() {
         json.push_str(&format!("      \"iterations\": {},\n", r.iterations));
         json.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
         json.push_str(&format!("      \"facts_per_sec\": {:.1}", r.facts_per_sec));
+        if let Some(ratio) = r.max_probes_per_derived {
+            json.push_str(&format!(",\n      \"max_probes_per_derived\": {ratio:.2}"));
+        }
         if let Some(base) = baseline.as_deref() {
             if let Some(b) = baseline_field(base, r.name, "facts_per_sec") {
                 json.push_str(&format!(",\n      \"baseline_facts_per_sec\": {b:.1}"));

@@ -95,6 +95,9 @@ pub struct RuleStats {
     pub rule: String,
     /// Zero-based stratum the rule's head belongs to.
     pub stratum: usize,
+    /// Whether the rule is an aggregate, folded once per stratum over
+    /// its body's distinct witnesses rather than joined to a fixpoint.
+    pub aggregate: bool,
     /// Rule-variant applications attempted.
     pub applications: usize,
     /// Head tuples produced, including duplicates.
@@ -773,6 +776,7 @@ impl<'p> Engine<'p> {
             stats.per_rule.push(RuleStats {
                 rule: c.to_string(),
                 stratum: stratum_idx,
+                aggregate: true,
                 applications: 1,
                 facts_derived: derived,
                 facts_added: added,

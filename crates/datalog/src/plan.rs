@@ -13,24 +13,34 @@
 //!
 //! The default executor ([`RulePlan::eval`]) runs each step over a
 //! *batch* of up to [`CHUNK`] candidate bindings at once, represented
-//! column-major (one `Vec<Const>` per live slot). A positive scan joins
-//! the whole batch against the relation in one of three ways:
+//! column-major (one `Vec<Const>` per live slot). A positive scan with no
+//! bound columns computes its matching rows once (a constant-column index
+//! probe, or a full scan) and cross-products them with the batch. A scan
+//! with bound columns picks its join path from predicted cost:
 //!
-//! * **no bound columns** — the matching rows are computed once (a
-//!   constant-column index probe, or a full scan) and cross-producted
-//!   with the batch;
-//! * **bound columns, small relation** (≤ [`CHUNK`] rows) — the whole
-//!   relation side is hashed on its bound-column cells into a per-step
-//!   table cached by relation version, so EDB relations are hashed once
-//!   per evaluation and probed by every chunk of every round;
-//! * **bound columns, large relation, selective constant** — when a
-//!   constant column selects fewer candidate rows than the batch has
-//!   bindings, the candidates are hashed per chunk and the batch probes
-//!   that table (batched hash join on the small side);
-//! * **bound columns, no better option** — the batch is sorted on its
-//!   first bound slot and merge-joined against the column's sorted
-//!   permutation index via a galloping cursor
-//!   ([`crate::storage::Relation::col_cursor`]).
+//! * **hash join on every bound column** — the relation side (the rows
+//!   of its most selective constant column, else the whole relation) is
+//!   hashed on its bound-column cells into a per-step table cached by
+//!   relation version, and each batch row probes it. A current table is
+//!   always used. A missing or stale one is built when its candidates fit
+//!   in one chunk and are at most `TABLE_BUILD_RATIO` times the batch (so
+//!   EDB relations are hashed once per evaluation and probed by every
+//!   chunk of every round), or when the merge join below is predicted to
+//!   cost more probes than building the table (`BUILD_ROW_PROBES` per
+//!   relation row);
+//! * **merge join** — otherwise the batch is sorted on one bound column
+//!   (the first, or for a batch of a few rows the most selective) and
+//!   merge-joined against that column's sorted permutation index via a
+//!   galloping cursor ([`crate::storage::Relation::col_cursor`]),
+//!   filtering the other bound columns per row. A key group therefore
+//!   costs (rows seeked) × (batch rows in the group) probes. That cost is
+//!   predicted before seeking: for the whole batch from index counts at
+//!   sampled batch rows, and for each key group from its own index count,
+//!   with tombstones left out before defecting. Past the build cost the
+//!   remaining rows defect to the hash join, whose table is then cached
+//!   for the later chunks. A key group spanning the whole relation (a
+//!   constant join column, as in the cautious `beaten` self-join)
+//!   therefore never runs as a nested loop.
 //!
 //! Sorted permutation indexes are built lazily: each plan records the
 //! `(predicate, column)` pairs it probes (`index_needs`) and the
@@ -74,10 +84,10 @@ use crate::{DatalogError, Result};
 /// checks frequent.
 const CHUNK: usize = 4096;
 
-/// A stale small-relation join table is rebuilt only when
-/// `batch.n * TABLE_BUILD_RATIO >= rel.len()`: hashing a relation row
-/// costs a few times more than probing, so smaller batches use the
-/// sorted indexes instead.
+/// A missing or stale join table is built up front only when its
+/// candidate rows number at most `batch.n * TABLE_BUILD_RATIO` (and at
+/// most [`CHUNK`]): hashing a relation row costs a few times more than
+/// probing, so smaller batches use the sorted indexes instead.
 const TABLE_BUILD_RATIO: usize = 8;
 
 /// Minimum batch size for a merge-join column cursor. Constructing a
@@ -85,6 +95,19 @@ const TABLE_BUILD_RATIO: usize = 8;
 /// rows), which only pays off across many seeks; smaller batches probe
 /// each key group through the index directly.
 const CURSOR_BATCH_MIN: usize = 64;
+
+/// What hashing one relation row into a [`JoinTable`] costs, in merge
+/// probes. A probe compares a few cells of one seeked row (3–4 ns on the
+/// 2-core reference box); a build hashes the row and files it in its
+/// bucket (about 30 ns). The merge join defects to a table once its
+/// probes are predicted to exceed this many per relation row; the
+/// factor is twice the measured ratio, leaving room for the sampling
+/// error of the prediction.
+const BUILD_ROW_PROBES: usize = 16;
+
+/// Batch rows sampled when estimating a merge join's probes (see
+/// `RulePlan::merge_over_budget`).
+const MERGE_SAMPLES: usize = 8;
 
 /// One column of a positive scan.
 #[derive(Clone, Copy, Debug)]
@@ -207,15 +230,88 @@ impl Batch {
     }
 }
 
-/// A cached hash-join table for one small-relation scan step: live rows
-/// satisfying the scan's constant/check columns, keyed by the hash of
-/// their bound-column cells. Valid for exactly one relation version
-/// ([`Relation::version`]), so it is built once per version and reused
-/// across chunks and evaluation rounds — for EDB relations, exactly
-/// once.
+/// A cached hash-join table over one scan step's relation side: the
+/// live rows satisfying the scan's constant and repeated-variable
+/// columns, bucketed by the hash of their bound-column cells. The layout
+/// is a counting sort, not a map: bucket `b` (the hash's top bits) is
+/// `entries[starts[b]..starts[b + 1]]`, sorted so that equal hashes are
+/// adjacent. A build is two linear passes plus tiny per-bucket sorts; a
+/// table costs 16 bytes per row plus 4 to 8 for the bucket offsets.
+/// Valid for exactly one relation version ([`Relation::version`]): it is
+/// built once per version and reused across chunks and evaluation
+/// rounds — for EDB relations, exactly once.
 struct JoinTable {
     version: u128,
-    map: FxHashMap<u64, Vec<u32>>,
+    /// `64 - log2(bucket count)`: a hash's bucket is `hash >> shift`.
+    shift: u32,
+    starts: Vec<u32>,
+    /// `(bound-cell hash, row id)`, grouped by bucket.
+    entries: Vec<(u64, u32)>,
+}
+
+impl JoinTable {
+    /// Hash `rel`'s candidate rows for `spec` (see
+    /// [`RulePlan::scan_candidates`]) on every bound column; `buf` is a
+    /// reusable row buffer.
+    fn build(spec: &ScanSpec, rel: &Relation, buf: &mut Vec<u32>) -> Self {
+        RulePlan::scan_candidates(spec, rel, buf);
+        let buckets = buf.len().next_power_of_two();
+        let shift = 64 - buckets.trailing_zeros();
+        let hashed: Vec<(u64, u32)> = buf
+            .iter()
+            .map(|&r| {
+                (
+                    hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c))),
+                    r,
+                )
+            })
+            .collect();
+        let mut starts = vec![0u32; buckets + 1];
+        for &(h, _) in &hashed {
+            starts[bucket_of(h, shift) + 1] += 1;
+        }
+        for b in 0..buckets {
+            starts[b + 1] += starts[b];
+        }
+        let mut next = starts.clone();
+        let mut entries = vec![(0, 0); hashed.len()];
+        for &(h, r) in &hashed {
+            let slot = &mut next[bucket_of(h, shift)];
+            entries[*slot as usize] = (h, r);
+            *slot += 1;
+        }
+        for b in 0..buckets {
+            let bucket = &mut entries[starts[b] as usize..starts[b + 1] as usize];
+            if bucket.len() > 1 {
+                bucket.sort_unstable();
+            }
+        }
+        JoinTable {
+            version: rel.version(),
+            shift,
+            starts,
+            entries,
+        }
+    }
+
+    /// The candidate rows whose bound cells hash to `h`, as `(h, row)`.
+    fn get(&self, h: u64) -> &[(u64, u32)] {
+        let b = bucket_of(h, self.shift);
+        let (mut lo, end) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        while lo < end && self.entries[lo].0 < h {
+            lo += 1;
+        }
+        let mut hi = lo;
+        while hi < end && self.entries[hi].0 == h {
+            hi += 1;
+        }
+        &self.entries[lo..hi]
+    }
+}
+
+/// The [`JoinTable`] bucket of hash `h`: its top `64 - shift` bits.
+fn bucket_of(h: u64, shift: u32) -> usize {
+    usize::try_from(h.checked_shr(shift).unwrap_or(0)).unwrap_or(0)
 }
 
 /// Reusable per-plan evaluation buffers: the slot bindings plus one
@@ -229,7 +325,7 @@ pub(crate) struct Scratch {
     batches: Vec<Batch>,
     /// Per-step row-id buffers of the batched executor.
     rowbufs: Vec<Vec<u32>>,
-    /// Per-step cached small-relation join tables.
+    /// Per-step cached relation-side hash-join tables.
     tables: Vec<Option<JoinTable>>,
     /// Guard tick state and probe counter for this plan's evaluations.
     cursor: GuardCursor,
@@ -265,6 +361,12 @@ pub(crate) struct RulePlan {
     pub(crate) index_needs: Vec<(SymId, usize)>,
     /// Human-readable description of the chosen join order.
     pub order_desc: String,
+}
+
+/// A row count or offset as `u32`, saturating (probe counters and
+/// row ids are `u32`).
+fn clamp(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 fn hash_cells(cells: impl Iterator<Item = Const>) -> u64 {
@@ -1014,6 +1116,23 @@ impl RulePlan {
         Ok(())
     }
 
+    /// Fill `rows` with the live rows satisfying this scan's constant
+    /// and repeated-variable columns, driven by the most selective
+    /// constant column's index when the scan has one.
+    fn scan_candidates(spec: &ScanSpec, rel: &Relation, rows: &mut Vec<u32>) {
+        rows.clear();
+        match spec
+            .consts
+            .iter()
+            .copied()
+            .min_by_key(|&(c, v)| rel.count_eq(c, v))
+        {
+            Some((c, v)) => rel.probe_rows(c, v, rows),
+            None => rel.live_rows(rows),
+        }
+        Self::retain_scan_rows(spec, rel, rows);
+    }
+
     /// Drop candidate rows violating this scan's constant columns or
     /// intra-atom repeated variables. The merge path seeks on a *bound*
     /// column, so even a single const column must still be checked here.
@@ -1027,6 +1146,75 @@ impl RulePlan {
                         .all(|&(c, b)| rel.cell(r, c) == rel.cell(r, b))
             });
         }
+    }
+
+    /// Probe `table` with the bound cells of each batch row in `rows`,
+    /// pushing every verified match (hash collisions are filtered by
+    /// comparing the bound cells) into `child`.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_table(
+        &self,
+        step: usize,
+        spec: &ScanSpec,
+        table: &JoinTable,
+        rows: impl Iterator<Item = usize>,
+        rel: &Relation,
+        batch: &Batch,
+        child: &mut Batch,
+        db: &Database,
+        delta: Option<&FactBuf>,
+        scratch: &mut Scratch,
+        out: &mut FactBuf,
+        guard: &EvalGuard,
+    ) -> Result<()> {
+        for row in rows {
+            let cands = table.get(hash_cells(
+                spec.bounds.iter().map(|&(_, s)| batch.get(s, row)),
+            ));
+            if cands.is_empty() {
+                continue;
+            }
+            scratch.cursor.probe_n(clamp(cands.len()), guard)?;
+            for &(_, r) in cands {
+                if spec
+                    .bounds
+                    .iter()
+                    .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
+                {
+                    self.push_rel_pair(
+                        step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a merge join of `batch` on bound column `col` (slot
+    /// `slot`) is predicted to make more than `budget` probes: the
+    /// relation rows matching the column's cells at up to
+    /// [`MERGE_SAMPLES`] evenly spaced batch rows, scaled to the whole
+    /// batch. The cheap `count_eq`, which also counts tombstones, screens
+    /// first; only a prediction over budget is confirmed with live counts,
+    /// which walk the matching rows when the relation has tombstones.
+    fn merge_over_budget(
+        rel: &Relation,
+        (col, slot): (usize, u32),
+        batch: &Batch,
+        budget: usize,
+    ) -> bool {
+        let stride = batch.n.div_ceil(MERGE_SAMPLES).max(1);
+        let samples = batch.n.div_ceil(stride).max(1);
+        let over = |count: &dyn Fn(usize, Const) -> usize| {
+            (0..batch.n)
+                .step_by(stride)
+                .map(|row| count(col, batch.get(slot, row)))
+                .sum::<usize>()
+                .saturating_mul(batch.n)
+                / samples
+                > budget
+        };
+        over(&|c, v| rel.count_eq(c, v)) && over(&|c, v| rel.count_eq_live(c, v))
     }
 
     /// Batched scan of a stored relation. Fills `child` with join pairs
@@ -1052,23 +1240,12 @@ impl RulePlan {
         if rel.arity() != Some(arity) {
             return Ok(()); // empty (or never-populated) relation
         }
-        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
 
         if spec.bounds.is_empty() {
             // No join columns: the matching rows are the same for every
             // batch row. Compute them once, then cross-product.
             let mut rows = mem::take(&mut scratch.rowbufs[step]);
-            rows.clear();
-            match spec
-                .consts
-                .iter()
-                .copied()
-                .min_by_key(|&(c, v)| rel.count_eq(c, v))
-            {
-                Some((c, v)) => rel.probe_rows(c, v, &mut rows),
-                None => rel.live_rows(&mut rows),
-            }
-            Self::retain_scan_rows(spec, rel, &mut rows);
+            Self::scan_candidates(spec, rel, &mut rows);
             let mut result = Ok(());
             'batch: for row in 0..batch.n {
                 result = scratch.cursor.probe_n(clamp(rows.len()), guard);
@@ -1088,122 +1265,104 @@ impl RulePlan {
             return result;
         }
 
-        // Bound columns, small relation: hash join against a cached
-        // per-step table of the whole relation side, built once per
-        // relation version and reused across chunks and rounds. EDB
-        // relations never change mid-evaluation, so they are hashed
-        // exactly once per run. Building costs O(relation), so a stale
-        // cache is only rebuilt when the batch is large enough to
-        // amortize it — one-off small evaluations (incremental delta
-        // propagation, point queries) fall through to the index paths.
-        let table_valid = scratch.tables[step]
+        // Hash join on every bound column against the step's cached
+        // relation-side table, when it is current for this relation
+        // version or worth building now. Building costs O(candidates)
+        // once per version (the most selective constant's rows, else the
+        // whole relation). It is worth it when the candidates fit in a
+        // chunk and are at most TABLE_BUILD_RATIO times the batch, so
+        // one-off small evaluations (incremental delta propagation, point
+        // queries) stay on the indexes. It is also worth it when, with two
+        // or more bound columns, the merge join below is predicted to
+        // probe more than hashing the relation costs (BUILD_ROW_PROBES per
+        // row): the merge seeks on the first bound column and filters the
+        // rest per row, so a key group costs (rows seeked) × (batch rows
+        // in the group) probes, and the prediction samples that from the
+        // index before seeking anything. A first bound column that is
+        // constant, as in the cautious `beaten` self-join, is the extreme
+        // case: one key group spans the whole relation.
+        let multi = spec.bounds.len() >= 2;
+        let bail = rel
+            .len()
+            .saturating_mul(BUILD_ROW_PROBES)
+            .saturating_add(CHUNK);
+        let mut current = scratch.tables[step]
             .as_ref()
             .is_some_and(|t| t.version == rel.version());
-        if rel.len() <= CHUNK && (table_valid || batch.n * TABLE_BUILD_RATIO >= rel.len()) {
-            if !table_valid {
-                let mut rows = mem::take(&mut scratch.rowbufs[step]);
-                rows.clear();
-                rel.live_rows(&mut rows);
-                Self::retain_scan_rows(spec, rel, &mut rows);
-                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for &r in &rows {
-                    let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                    map.entry(h).or_default().push(r);
-                }
-                scratch.rowbufs[step] = rows;
-                scratch.tables[step] = Some(JoinTable {
-                    version: rel.version(),
-                    map,
-                });
+        if !current {
+            let build = spec
+                .consts
+                .iter()
+                .map(|&(c, v)| rel.count_eq(c, v))
+                .min()
+                .unwrap_or(rel.len());
+            if build <= CHUNK.min(batch.n.saturating_mul(TABLE_BUILD_RATIO))
+                || (multi && Self::merge_over_budget(rel, spec.bounds[0], batch, bail))
+            {
+                scratch.tables[step] =
+                    Some(JoinTable::build(spec, rel, &mut scratch.rowbufs[step]));
+                current = true;
             }
-            let table = scratch.tables[step].take().expect("table built above");
-            let mut result = Ok(());
-            'small: for row in 0..batch.n {
-                let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                let Some(cands) = table.map.get(&h) else {
-                    continue;
-                };
-                result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                if result.is_err() {
-                    break;
-                }
-                for &r in cands {
-                    if spec
-                        .bounds
-                        .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                    {
-                        result = self.push_rel_pair(
-                            step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
-                        );
-                        if result.is_err() {
-                            break 'small;
-                        }
-                    }
-                }
-            }
+        }
+        if current {
+            let table = scratch.tables[step].take().expect("table is current");
+            let result = self.probe_table(
+                step,
+                spec,
+                &table,
+                0..batch.n,
+                rel,
+                batch,
+                child,
+                db,
+                delta,
+                scratch,
+                out,
+                guard,
+            );
             scratch.tables[step] = Some(table);
             return result;
         }
 
-        // Large relation, selective constant: probe the constant column,
-        // hash the (now small) candidate set per chunk.
-        let const_driver = spec
-            .consts
-            .iter()
-            .copied()
-            .map(|(c, v)| (rel.count_eq(c, v), c, v))
-            .min();
-        if let Some((est, dc, dv)) = const_driver.filter(|&(est, ..)| est <= batch.n) {
-            let _ = est;
-            let mut rows = mem::take(&mut scratch.rowbufs[step]);
-            rows.clear();
-            rel.probe_rows(dc, dv, &mut rows);
-            Self::retain_scan_rows(spec, rel, &mut rows);
-            // Build the hash table on the (small) relation side, keyed by
-            // the bound-column cells; the batch probes it.
-            let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for &r in &rows {
-                let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                table.entry(h).or_default().push(r);
-            }
-            let mut result = Ok(());
-            'hash: for row in 0..batch.n {
-                let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                let Some(cands) = table.get(&h) else {
-                    continue;
-                };
-                result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                if result.is_err() {
-                    break;
-                }
-                for &r in cands {
-                    if spec
-                        .bounds
-                        .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                    {
-                        result = self.push_rel_pair(
-                            step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
-                        );
-                        if result.is_err() {
-                            break 'hash;
-                        }
-                    }
-                }
-            }
-            scratch.rowbufs[step] = rows;
-            return result;
-        }
-
-        // Merge join: sort the batch on its first bound slot (keys
-        // computed once, not per comparison) and walk the relation
-        // column's sorted permutation index with a galloping cursor — one
-        // forward merge instead of a hash probe per row. Cursor
-        // construction sorts the index's uncovered tail, so batches too
-        // small to amortize that probe each key group directly instead
-        // (binary search per run plus an unsorted-tail scan).
-        let (jcol, jslot) = spec.bounds[0];
+        // Merge join: sort the batch on one bound column (keys computed
+        // once, not per comparison) and walk that column's sorted
+        // permutation index with a galloping cursor — one forward merge
+        // instead of a hash probe per row. Cursor construction sorts the
+        // index's uncovered tail, so batches too small to amortize that
+        // probe each key group directly instead (binary search per run
+        // plus an unsorted-tail scan). A batch of at most MERGE_SAMPLES
+        // rows whose first bound column matches more than an eighth of
+        // the relation seeks on the bound column whose cells match the
+        // fewest rows: every row is counted, and it has that few seeks
+        // whichever column is chosen. Larger batches keep the first bound
+        // column: a more selective column shortens key groups but
+        // multiplies the seeks, each of which gallops every sorted run,
+        // and an unselective first column is what the hash join above
+        // already catches. Before each key group is seeked, the probes
+        // spent plus its cost predicted from the index (matching rows ×
+        // group length) are checked against the same budget, and past it
+        // the remaining rows defect to the hash join, caching its table
+        // for the later chunks. The prediction is screened from cheap to
+        // exact — the relation size, then `count_eq`, then live rows —
+        // and defects only when every stage is over budget. The
+        // probes-spent check alone stays as a fallback.
+        let matches = |(c, s): (usize, u32)| {
+            (0..batch.n)
+                .map(|row| rel.count_eq(c, batch.get(s, row)))
+                .sum::<usize>()
+        };
+        let (jcol, jslot) = if multi
+            && batch.n <= MERGE_SAMPLES
+            && matches(spec.bounds[0]).saturating_mul(MERGE_SAMPLES) > rel.len()
+        {
+            spec.bounds
+                .iter()
+                .copied()
+                .min_by_key(|&b| matches(b))
+                .expect("a multi-column scan has bound columns")
+        } else {
+            spec.bounds[0]
+        };
         let mut order: Vec<(u128, u32)> = (0..batch.n)
             .map(|r| (key_of(batch.get(jslot, r)), clamp(r)))
             .collect();
@@ -1211,59 +1370,29 @@ impl RulePlan {
         let mut cur = (batch.n >= CURSOR_BATCH_MIN).then(|| rel.col_cursor(jcol));
         let mut rows = mem::take(&mut scratch.rowbufs[step]);
         let mut result = Ok(());
+        let mut spent = 0usize;
         let mut i = 0;
-        // Adaptive defection: with two or more bound columns the merge
-        // join seeks on the first and filters the rest per row, so a
-        // low-selectivity first column can seek far more rows than the
-        // relation holds. Once the seeked row count exceeds one full
-        // scan, the remaining key groups defect to a hash join — hash
-        // them on all bound columns and stream the relation through the
-        // table once. Total work is bounded at roughly twice the better
-        // strategy without relying on cardinality estimates.
-        let bail = rel.len().saturating_add(CHUNK);
-        let mut seeked = 0usize;
         'merge: while i < order.len() {
-            if spec.bounds.len() >= 2 && seeked > bail {
-                let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for &(_, br) in &order[i..] {
-                    let row = br as usize;
-                    let h = hash_cells(spec.bounds.iter().map(|&(_, s)| batch.get(s, row)));
-                    table.entry(h).or_default().push(br);
-                }
-                rows.clear();
-                rel.live_rows(&mut rows);
-                Self::retain_scan_rows(spec, rel, &mut rows);
-                'scan: for &r in &rows {
-                    let h = hash_cells(spec.bounds.iter().map(|&(c, _)| rel.cell(r, c)));
-                    let Some(cands) = table.get(&h) else { continue };
-                    result = scratch.cursor.probe_n(clamp(cands.len()), guard);
-                    if result.is_err() {
-                        break;
-                    }
-                    for &br in cands {
-                        let row = br as usize;
-                        if spec
-                            .bounds
-                            .iter()
-                            .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
-                        {
-                            result = self.push_rel_pair(
-                                step, spec, batch, row, rel, r, child, db, delta, scratch, out,
-                                guard,
-                            );
-                            if result.is_err() {
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                break 'merge;
-            }
             let k = order[i].0;
             let v = batch.get(jslot, order[i].1 as usize);
             let mut j = i + 1;
             while j < order.len() && order[j].0 == k {
                 j += 1;
+            }
+            let over = |rows: usize| spent.saturating_add(rows.saturating_mul(j - i)) > bail;
+            if multi
+                && (spent > bail
+                    || (over(rel.len())
+                        && over(rel.count_eq(jcol, v))
+                        && over(rel.count_eq_live(jcol, v))))
+            {
+                let table = JoinTable::build(spec, rel, &mut rows);
+                let rest = order[i..].iter().map(|&(_, br)| br as usize);
+                result = self.probe_table(
+                    step, spec, &table, rest, rel, batch, child, db, delta, scratch, out, guard,
+                );
+                scratch.tables[step] = Some(table);
+                break;
             }
             rows.clear();
             match &mut cur {
@@ -1271,19 +1400,19 @@ impl RulePlan {
                 None => rel.probe_rows(jcol, v, &mut rows),
             }
             Self::retain_scan_rows(spec, rel, &mut rows);
-            seeked += rows.len();
-            result = scratch
-                .cursor
-                .probe_n(clamp(rows.len().saturating_mul(j - i)), guard);
+            let probes = rows.len().saturating_mul(j - i);
+            spent = spent.saturating_add(probes);
+            result = scratch.cursor.probe_n(clamp(probes), guard);
             if result.is_err() {
                 break;
             }
             for &(_, br) in &order[i..j] {
                 let row = br as usize;
                 for &r in &rows {
-                    if spec.bounds[1..]
+                    if spec
+                        .bounds
                         .iter()
-                        .all(|&(c, s)| rel.cell(r, c) == batch.get(s, row))
+                        .all(|&(c, s)| c == jcol || rel.cell(r, c) == batch.get(s, row))
                     {
                         result = self.push_rel_pair(
                             step, spec, batch, row, rel, r, child, db, delta, scratch, out, guard,
@@ -1317,7 +1446,6 @@ impl RulePlan {
         guard: &EvalGuard,
     ) -> Result<()> {
         let facts = delta.expect("delta variant evaluated without a delta");
-        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         let mut result = Ok(());
         'facts: for fi in 0..facts.len() {
             let fact = facts.row(fi);

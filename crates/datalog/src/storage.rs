@@ -548,6 +548,33 @@ impl Relation {
             .count()
     }
 
+    /// Live rows whose `col` cell equals `value`. Equal to
+    /// [`Relation::count_eq`] when the relation has no tombstones; with
+    /// tombstones it walks the matching index ranges (O(matching rows)),
+    /// because retract/re-derive churn concentrates them on a few hot
+    /// keys, where `count_eq` can overstate the live rows many times
+    /// over. The join planner confirms with this count a cost prediction
+    /// that `count_eq` put over budget.
+    pub(crate) fn count_eq_live(&self, col: usize, value: Const) -> usize {
+        if self.dead.is_empty() {
+            return self.count_eq(col, value);
+        }
+        let k = key_of(value);
+        let idx = &self.indexes[col];
+        let mut n = 0;
+        for run in &idx.runs {
+            let lo = run.partition_point(|&r| key_of(self.cell(r, col)) < k);
+            n += run[lo..]
+                .iter()
+                .take_while(|&&r| self.cell(r, col) == value)
+                .filter(|&&r| !self.is_dead(r))
+                .count();
+        }
+        n + (idx.covered..self.total)
+            .filter(|&r| self.cell(r, col) == value && !self.is_dead(r))
+            .count()
+    }
+
     /// Append every live row id.
     pub(crate) fn live_rows(&self, out: &mut Vec<u32>) {
         out.extend((0..self.total).filter(|&r| !self.is_dead(r)));

@@ -71,6 +71,55 @@ fn arb_stratified_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Levels of the polyinstantiation programs below (a total order).
+const POLY_LEVELS: usize = 4;
+
+/// The rules of the cautious-belief shape the MultiLog reduction emits:
+/// `vis` sees every cell at every level at or above its classification,
+/// and `beaten` self-joins `vis` on (owner, key, level). The owner
+/// column, the join's first bound column, holds one or two values, so a
+/// single merge key group can span the whole relation. `emp_beaten` is
+/// the same self-join under a constant owner.
+const POLY_RULES: &str = "vis(P, K, V, C, H) :- cell(P, K, V, C), dom(C, H).\n\
+     beaten(P, K, C, H) :- vis(P, K, V, C, H), vis(P, K, V2, C2, H), dom(C, C2), C != C2.\n\
+     cau(P, K, V, C, H) :- vis(P, K, V, C, H), not beaten(P, K, C, H).\n\
+     emp_beaten(K, H) :- vis(o0, K, V, C, H), vis(o0, K, V2, C2, H), dom(C, C2), C != C2.\n";
+
+/// `cells` random polyinstantiated cells `cell(owner, key, value, level)`
+/// drawn from `seed` over `keys` keys and `owners` owners. With 2000
+/// cells over 300 or more keys `vis` holds 4500 to 5000 rows: more than
+/// one 4096-row batch.
+fn poly_cells(keys: usize, owners: usize, cells: usize, seed: u64) -> Vec<[usize; 4]> {
+    let mut x = seed | 1;
+    let mut next = move |n: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    };
+    (0..cells)
+        .map(|_| {
+            let key = next(keys);
+            [key % owners, key, next(8), next(POLY_LEVELS)]
+        })
+        .collect()
+}
+
+/// A polyinstantiation program over `cells` (see [`POLY_RULES`]).
+fn poly_program(cells: &[[usize; 4]]) -> Program {
+    let mut src = String::new();
+    for lo in 0..POLY_LEVELS {
+        for hi in lo..POLY_LEVELS {
+            src.push_str(&format!("dom(l{lo}, l{hi}).\n"));
+        }
+    }
+    for [o, k, v, l] in cells {
+        src.push_str(&format!("cell(o{o}, k{k}, v{v}, l{l}).\n"));
+    }
+    src.push_str(POLY_RULES);
+    parse_program(&src).expect("generated program is valid")
+}
+
 fn all_facts(db: &Database) -> Vec<(String, Box<[Const]>)> {
     let mut out = Vec::new();
     for (pred, rel) in db.relations() {
@@ -216,6 +265,58 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    // Each case evaluates a ~5000-row self-join with both executors; the
+    // tuple executor takes seconds per case in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn batched_equals_tuple_executor_on_polyinstantiated_self_join(
+        keys in 500usize..1500,
+        owners in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        // The cautious `beaten` self-join over relations past one batch:
+        // the merge join, its pre-seek defection to the hash join and
+        // the cached relation-side table all run on the batched side.
+        let p = poly_program(&poly_cells(keys, owners, 2000, seed));
+        let batched = Engine::new(&p)
+            .unwrap()
+            .with_executor(Executor::Batched)
+            .run()
+            .unwrap();
+        let tuple = Engine::new(&p)
+            .unwrap()
+            .with_executor(Executor::Tuple)
+            .run()
+            .unwrap();
+        prop_assert!(batched.relation("vis").unwrap().len() > 4096);
+        prop_assert_eq!(all_facts(&batched), all_facts(&tuple));
+    }
+}
+
+/// The `beaten` self-join must not run as a cross product even though
+/// its first bound column is constant: join probes stay within a small
+/// multiple of the tuples it derives (a nested loop makes thousands).
+#[test]
+fn constant_first_column_self_join_probes_stay_linear() {
+    let p = poly_program(&poly_cells(300, 1, 2000, 7));
+    let (db, stats) = Engine::new(&p).unwrap().run_with_stats().unwrap();
+    assert!(db.relation("vis").unwrap().len() > 4096);
+    let beaten = stats
+        .per_rule
+        .iter()
+        .find(|r| r.rule.starts_with("beaten("))
+        .unwrap();
+    assert!(beaten.facts_derived > 0);
+    assert!(
+        beaten.join_probes <= 8 * beaten.facts_derived as u64,
+        "beaten: {} probes for {} derived tuples",
+        beaten.join_probes,
+        beaten.facts_derived
+    );
 }
 
 #[test]
