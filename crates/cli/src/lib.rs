@@ -374,7 +374,7 @@ pub fn prove(source: &str, goal: &str, opts: &Options) -> CliResult {
 pub fn reduce(source: &str, opts: &Options) -> CliResult {
     let db = load(source)?;
     let e = ReducedEngine::new(&db, &opts.user).map_err(|e| e.to_string())?;
-    Ok(e.program_text().to_owned())
+    Ok(e.program_text())
 }
 
 /// `multilog check <file>`: admissibility (Def 5.3) and consistency

@@ -506,6 +506,12 @@ impl IncrementalEngine {
         Ok(())
     }
 
+    /// The program this engine was built from, as given: its fact
+    /// clauses are the initial base, unaffected by later transactions.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Per-rule/per-stratum statistics from the most recent full
     /// materialization (the constructor's initial run or the latest
     /// [`recover`](IncrementalEngine::recover)). Commits do not update

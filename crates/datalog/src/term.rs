@@ -194,10 +194,12 @@ impl fmt::Display for Const {
         match self {
             Const::Sym(id) => {
                 let s = id.as_str();
-                // Quote when the symbol does not lex as a bare identifier.
+                // Quote when the symbol does not lex as a bare identifier:
+                // `not` and `mod` lex as keywords, not symbols.
                 let bare = !s.is_empty()
                     && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    && !matches!(s, "not" | "mod");
                 if bare {
                     f.write_str(s)
                 } else {
@@ -331,6 +333,15 @@ mod tests {
         assert_eq!(Const::sym("").to_string(), "\"\"");
         assert_eq!(Const::sym("X").to_string(), "\"X\"");
         assert_eq!(Const::int(-3).to_string(), "-3");
+        // Reserved words of the Datalog syntax are quoted too, and the
+        // quoted form parses back to the same constant.
+        for word in ["not", "mod"] {
+            let c = Const::sym(word);
+            assert_eq!(c.to_string(), format!("\"{word}\""));
+            let atom = crate::parser::parse_atom(&format!("p({c})")).unwrap();
+            assert_eq!(atom.terms, vec![Term::Const(c)]);
+        }
+        assert_eq!(Const::sym("nota").to_string(), "nota");
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //!   up* conditions, baked in at compile time because the reduced program
 //!   cannot enforce per-user views (§6.2).
 //!
+//! τ builds `dl::Clause` and `dl::Literal` values directly, and the
+//! program reaches [`dl::Program::from_clauses`] (the parser's safety and
+//! arity checks) without passing through Datalog source text. Goals are
+//! translated the same way on every read. [`ReducedEngine::program_text`]
+//! renders the evaluated program for `multilog reduce`; the listing
+//! re-parses to exactly the engine's clauses.
+//!
 //! ## Making Figure 12 executable
 //!
 //! The paper prints the axioms a₁–a₉ ([`paper_axioms`]) and asserts they
@@ -39,12 +46,13 @@
 //! by `tests/equivalence.rs` at the workspace root.
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use multilog_datalog as dl;
 use multilog_lattice::SecurityLattice;
 
-use crate::ast::{Atom, Clause, Goal, Head, MAtom, Term};
+use crate::ast::{Atom, Clause, Goal, Head, MAggFunc, MAtom, PAtom, Term};
 use crate::belief::Mode;
 use crate::db::MultiLogDb;
 use crate::engine::{Answer, EngineOptions};
@@ -94,7 +102,9 @@ pub struct ReducedEngine {
     incremental: dl::IncrementalEngine,
     /// Whether `rel` was split per level (cautious bodies present).
     level_split: bool,
-    program_text: String,
+    /// How many leading clauses of the program are τ(Δ); the axiom set
+    /// **A** follows them.
+    tau_len: usize,
     /// Guard configuration, replayed onto demand-driven goal runs.
     fact_limit: usize,
     deadline: Option<std::time::Duration>,
@@ -194,20 +204,15 @@ impl ReducedEngine {
             .chain(db.pi())
             .flat_map(|c| &c.body)
             .any(|a| matches!(a, Atom::B(_, m) if m.as_ref() == "cau"));
-        let program_text = translate(db, user, &lattice, level_split)?;
-        let program = dl::parse_program(&program_text).map_err(MultiLogError::Datalog)?;
+        let clauses = translate(db, user, &lattice, level_split)?;
+        let tau_len = db.lambda().len() + db.sigma().len() + db.pi().len();
         // Flow pruning needs a real lattice; the Prop 6.1 fallback has
         // no Σ rules to prune anyway.
         let prune = if options.flow_prune && !(db.lambda().is_empty() && db.sigma().is_empty()) {
-            let report = crate::flow::analyze_db(db);
-            let mut rules = Vec::new();
-            for c in db.sigma().iter().chain(db.pi()) {
-                let text = translate_clause(c, user, level_split)?;
-                let image = dl::parse_program(&text).map_err(MultiLogError::Datalog)?;
-                for t in image.clauses() {
-                    rules.push((c.clone(), t.clone()));
-                }
-            }
+            // τ maps each clause to one clause, so the Σ/Π images are
+            // the τ(Δ) clauses after τ(Λ).
+            let images = &clauses[db.lambda().len()..tau_len];
+            let rules = db.sigma().iter().chain(db.pi()).cloned();
             let mut machinery = HashSet::new();
             if level_split {
                 if let Some(u) = lattice.label(user) {
@@ -222,14 +227,15 @@ impl ReducedEngine {
                 }
             }
             Some(FlowPrune {
-                report,
-                rules,
+                report: crate::flow::analyze_db(db),
+                rules: rules.zip(images.iter().cloned()).collect(),
                 machinery,
                 tainted: false,
             })
         } else {
             None
         };
+        let program = dl::Program::from_clauses(clauses).map_err(MultiLogError::Datalog)?;
         let fact_limit = options.limit();
         let mut incremental = dl::IncrementalEngine::new_deferred(&program)
             .map_err(MultiLogError::Datalog)?
@@ -245,7 +251,7 @@ impl ReducedEngine {
             user: user.to_owned(),
             incremental,
             level_split,
-            program_text,
+            tau_len,
             fact_limit,
             deadline: options.deadline,
             cancel: options.cancel,
@@ -260,10 +266,27 @@ impl ReducedEngine {
         self.incremental.materialize_stats()
     }
 
-    /// The generated Datalog program (for inspection and the figures
-    /// binary).
-    pub fn program_text(&self) -> &str {
-        &self.program_text
+    /// The evaluated Datalog program `τ(Δ) ∪ A`: τ(Δ) one clause per
+    /// source clause, in source order, then the axiom set.
+    pub fn program(&self) -> &dl::Program {
+        self.incremental.program()
+    }
+
+    /// [`ReducedEngine::program`] as Datalog source, one clause per line,
+    /// with a comment line before the axiom set (for inspection,
+    /// `multilog reduce` and the figures binary). It parses back to
+    /// exactly the program's clauses.
+    pub fn program_text(&self) -> String {
+        let (tau, axioms) = self.program().clauses().split_at(self.tau_len);
+        let mut out = String::new();
+        for c in tau {
+            let _ = writeln!(out, "{c}");
+        }
+        out.push_str("% axiom set A (Figure 12, safe specialization)\n");
+        for c in axioms {
+            let _ = writeln!(out, "{c}");
+        }
+        out
     }
 
     /// The evaluated Datalog database.
@@ -290,7 +313,7 @@ impl ReducedEngine {
     pub fn apply_updates(&mut self, updates: &[EdbUpdate]) -> Result<dl::CommitStats> {
         // Validate every atom before touching the transaction, so a bad
         // batch is rejected without opening one.
-        let mut encoded: Vec<(bool, String, Vec<dl::Const>)> = Vec::with_capacity(updates.len());
+        let mut encoded: Vec<(bool, dl::SymId, Vec<dl::Const>)> = Vec::with_capacity(updates.len());
         for update in updates {
             let (m, insert) = match update {
                 EdbUpdate::Assert(m) => (m, true),
@@ -307,9 +330,9 @@ impl ReducedEngine {
         self.incremental.begin()?;
         for (insert, pred, fact) in encoded {
             let staged = if insert {
-                self.incremental.insert(&pred, fact)
+                self.incremental.insert(pred.as_str(), fact)
             } else {
-                self.incremental.retract(&pred, fact)
+                self.incremental.retract(pred.as_str(), fact)
             };
             if let Err(e) = staged {
                 // Arity clash against the translated program: discard the
@@ -337,13 +360,15 @@ impl ReducedEngine {
         Ok(self.incremental.recover()?)
     }
 
-    /// Encode a ground m-atom into its τ image: the target relation name
-    /// and the constant tuple, honoring the level split.
-    fn encode_update(&self, m: &MAtom) -> Result<(String, Vec<dl::Const>)> {
+    /// Encode a ground m-atom into its τ image — the fact a τ(Δ) clause
+    /// with this head would assert: the target relation and the
+    /// constant tuple, honoring the level split.
+    fn encode_update(&self, m: &MAtom) -> Result<(dl::SymId, Vec<dl::Const>)> {
+        let non_ground = || MultiLogError::NonGroundUpdate {
+            atom: m.to_string(),
+        };
         if !m.is_ground() {
-            return Err(MultiLogError::NonGroundUpdate {
-                atom: m.to_string(),
-            });
+            return Err(non_ground());
         }
         for (role, t) in [("level", &m.level), ("classification", &m.class)] {
             let Term::Sym(name) = t else {
@@ -357,29 +382,20 @@ impl ReducedEngine {
                 });
             }
         }
-        let mut fact = vec![
-            dl::Const::sym(&m.pred),
-            term_const(&m.key),
-            dl::Const::sym(&m.attr),
-            term_const(&m.value),
-            term_const(&m.class),
-        ];
-        if self.level_split {
-            Ok((format!("rel_{}", m.level), fact))
-        } else {
-            fact.push(term_const(&m.level));
-            Ok(("rel".to_owned(), fact))
-        }
+        let split = match &m.level {
+            Term::Sym(level) if self.level_split => Some(level.as_ref()),
+            _ => None,
+        };
+        let atom = rel_atom(m, split);
+        let fact = atom.as_fact().ok_or_else(non_ground)?;
+        Ok((atom.predicate, fact))
     }
 
     /// Solve a MultiLog goal against the reduced database; answers are in
     /// MultiLog terms, sorted, and directly comparable with
     /// [`crate::MultiLogEngine::solve`].
     pub fn solve(&self, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user, self.level_split)?;
         let answers =
             dl::run_query(self.incremental.database(), &body).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -409,25 +425,11 @@ impl ReducedEngine {
     /// records whether the magic rewrite applied and how much it
     /// materialized.
     pub fn solve_demand_with_stats(&self, goal: &Goal) -> Result<(Vec<Answer>, dl::EvalStats)> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
-        let program = self
-            .incremental
-            .current_program()
-            .map_err(MultiLogError::Datalog)?;
-        let (program, pruned_rules) = self.pruned_program(program);
-        let mut engine = dl::Engine::new(&program)?.with_fact_limit(self.fact_limit);
-        if let Some(d) = self.deadline {
-            engine = engine.with_deadline(d);
-        }
-        if let Some(c) = &self.cancel {
-            engine = engine.with_cancel_token(c.clone());
-        }
+        let body = translate_goal(goal, &self.user, self.level_split)?;
+        let (program, pruned_rules) = self.demand_program()?;
         // Guard trips convert through `From<DatalogError>`, surfacing the
         // same typed errors as a full materialization would.
-        let (answers, mut stats) = engine.run_for_goal(&body)?;
+        let (answers, mut stats) = self.guarded_engine(&program)?.run_for_goal(&body)?;
         if let Some(d) = stats.demand.as_mut() {
             d.pruned_rules = pruned_rules;
         }
@@ -449,10 +451,7 @@ impl ReducedEngine {
     /// [`DemandCache::clear`] the cache after any extensional update
     /// (the prepared programs embed the EDB).
     pub fn solve_demand_cached(&self, goal: &Goal, cache: &mut DemandCache) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user, self.level_split)?;
         let (key, consts) = dl::magic::prepared_key(&body);
         let prepared = match cache.map.get(&key) {
             Some(entry) => {
@@ -460,11 +459,7 @@ impl ReducedEngine {
                 entry
             }
             None => {
-                let program = self
-                    .incremental
-                    .current_program()
-                    .map_err(MultiLogError::Datalog)?;
-                let (program, _) = self.pruned_program(program);
+                let (program, _) = self.demand_program()?;
                 cache
                     .map
                     .entry(key)
@@ -472,14 +467,7 @@ impl ReducedEngine {
             }
         };
         if let Some(m) = prepared.as_ref().and_then(|p| p.instantiate(&consts)) {
-            let mut engine = dl::Engine::new(&m.program)?.with_fact_limit(self.fact_limit);
-            if let Some(d) = self.deadline {
-                engine = engine.with_deadline(d);
-            }
-            if let Some(c) = &self.cancel {
-                engine = engine.with_cancel_token(c.clone());
-            }
-            let db = engine.run()?;
+            let db = self.guarded_engine(&m.program)?.run()?;
             return Ok(project_answers(goal, &m.answers(&db)));
         }
         // Nothing to parameterize (or no sound rewrite): the plain
@@ -487,15 +475,31 @@ impl ReducedEngine {
         self.solve_demand(goal)
     }
 
-    /// Drop everything the flow analysis proves invisible at this
-    /// engine's clearance from `program`: the per-level cautious
-    /// machinery above the clearance, then every Σ/Π rule whose τ image
-    /// matches a prunable source clause. Returns the (possibly) smaller
-    /// program and how many clauses were dropped. A no-op (0 dropped)
-    /// unless [`EngineOptions::flow_prune`] was set.
-    fn pruned_program(&self, program: dl::Program) -> (dl::Program, usize) {
+    /// A batch engine over `program` under this engine's guards.
+    fn guarded_engine<'p>(&self, program: &'p dl::Program) -> Result<dl::Engine<'p>> {
+        let mut engine = dl::Engine::new(program)?.with_fact_limit(self.fact_limit);
+        if let Some(d) = self.deadline {
+            engine = engine.with_deadline(d);
+        }
+        if let Some(c) = &self.cancel {
+            engine = engine.with_cancel_token(c.clone());
+        }
+        Ok(engine)
+    }
+
+    /// The program demand-driven goals run against: the current rules
+    /// and base, minus everything the flow analysis proves invisible at
+    /// this engine's clearance — the per-level cautious machinery above
+    /// the clearance, then every Σ/Π rule whose τ image matches a
+    /// prunable source clause. Also returns how many clauses were
+    /// dropped: 0 unless [`EngineOptions::flow_prune`] was set.
+    fn demand_program(&self) -> Result<(dl::Program, usize)> {
+        let program = self
+            .incremental
+            .current_program()
+            .map_err(MultiLogError::Datalog)?;
         let Some(p) = self.prune.as_ref() else {
-            return (program, 0);
+            return Ok((program, 0));
         };
         let before = program.clauses().len();
         let mut out = program;
@@ -512,7 +516,7 @@ impl ReducedEngine {
             out = out.without_clauses(&excluded);
         }
         let dropped = before - out.clauses().len();
-        (out, dropped)
+        Ok((out, dropped))
     }
 
     /// The flow analysis backing demand pruning, when
@@ -579,10 +583,7 @@ impl GoalTranslator {
     /// this translator's clearance), under the session guards. Answers
     /// match [`ReducedEngine::solve`] on the same database.
     pub fn solve_on(&self, db: &dl::Database, goal: &Goal) -> Result<Vec<Answer>> {
-        let mut body: Vec<dl::Literal> = Vec::new();
-        for atom in goal {
-            translate_atom(atom, &self.user, self.level_split, true, &mut body)?;
-        }
+        let body = translate_goal(goal, &self.user, self.level_split)?;
         let answers =
             dl::run_query_guarded(db, &body, &self.guards).map_err(MultiLogError::Datalog)?;
         Ok(project_answers(goal, &answers))
@@ -594,9 +595,6 @@ impl GoalTranslator {
     }
 }
 
-/// Project Datalog answers back onto the goal's own variables, in
-/// MultiLog terms, sorted and deduplicated — the translation may add
-/// guard-only variables that must not leak into the answers.
 /// A memo of prepared magic-sets rewrites keyed by goal binding pattern,
 /// owned by interactive callers (the REPL) and passed to
 /// [`ReducedEngine::solve_demand_cached`]. Entries embed the extensional
@@ -634,6 +632,9 @@ impl DemandCache {
     }
 }
 
+/// Project Datalog answers back onto the goal's own variables, in
+/// MultiLog terms, sorted and deduplicated — the translation may add
+/// guard-only variables that must not leak into the answers.
 fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
     let goal_vars: Vec<&str> = {
         let mut vs = Vec::new();
@@ -661,137 +662,137 @@ fn project_answers(goal: &Goal, answers: &dl::QueryAnswer) -> Vec<Answer> {
     out
 }
 
-/// Translate the full database to a Datalog program text: `τ(Δ) ∪ A`.
+/// Translate the full database: `τ(Λ) ∪ τ(Σ) ∪ τ(Π) ∪ A`, one clause per
+/// source clause, then the axioms.
 fn translate(
     db: &MultiLogDb,
     user: &str,
     lattice: &SecurityLattice,
     level_split: bool,
-) -> Result<String> {
-    let mut out = String::new();
-    // --- τ(Λ): the lattice component translates one-to-one. ---
-    for c in db.lambda() {
-        out.push_str(&translate_clause(c, user, level_split)?);
-        out.push('\n');
+) -> Result<Vec<dl::Clause>> {
+    let mut out = Vec::new();
+    for c in db.lambda().iter().chain(db.sigma()).chain(db.pi()) {
+        out.push(translate_clause(c, user, level_split)?);
     }
-    // --- τ(Σ) and τ(Π). ---
-    for c in db.sigma().iter().chain(db.pi()) {
-        out.push_str(&translate_clause(c, user, level_split)?);
-        out.push('\n');
+    push_axioms(lattice, level_split, &mut out);
+    Ok(out)
+}
+
+/// Append the axiom set **A** (Figure 12, safe specialization).
+#[rustfmt::skip] // one axiom per line
+fn push_axioms(lattice: &SecurityLattice, level_split: bool, out: &mut Vec<dl::Clause>) {
+    // `ax(pred, args, body)` appends one axiom with head `pred(args)`.
+    // Arguments starting uppercase are variables, the others symbols
+    // (level names and modes, which MultiLog spells lowercase).
+    fn at(pred: &str, args: &[&str]) -> dl::Atom {
+        let arg = |a: &&str| {
+            if a.starts_with(char::is_uppercase) {
+                dl::Term::var(a)
+            } else {
+                dl::Term::sym(a)
+            }
+        };
+        dl::Atom::new(pred, args.iter().map(arg).collect())
     }
-    // --- The axiom set A. ---
-    out.push_str("% axiom set A (Figure 12, safe specialization)\n");
-    out.push_str("dominate(X, Y) :- order(X, Y).\n");
-    out.push_str("dominate(X, X) :- level(X).\n");
-    out.push_str("dominate(X, Y) :- order(X, Z), dominate(Z, Y).\n");
+    let mut ax = |pred: &str, args: &[&str], body: &[dl::Literal]| {
+        out.push(dl::Clause::new(at(pred, args), body.to_vec()));
+    };
+    let p = |pred: &str, args: &[&str]| dl::Literal::Pos(at(pred, args));
+    let not = |pred: &str, args: &[&str]| dl::Literal::Neg(at(pred, args));
+    let cc = ["C", "C2"];
+    let ne = || {
+        let [l, r] = cc.map(dl::Term::var);
+        dl::Literal::Cmp { op: dl::CmpOp::Ne, lhs: l, rhs: r }
+    };
+    let cell = ["P", "K", "A", "V", "C"];
+    let (cell_h, cell_l) = (["P", "K", "A", "V", "C", "H"], ["P", "K", "A", "V", "C", "L"]);
+
+    ax("dominate", &["X", "Y"], &[p("order", &["X", "Y"])]);
+    ax("dominate", &["X", "X"], &[p("level", &["X"])]);
+    ax("dominate", &["X", "Y"], &[p("order", &["X", "Z"]), p("dominate", &["Z", "Y"])]);
     if level_split {
         // Union view of the split relation, for queries.
         for l in lattice.labels() {
             let name = lattice.name(l);
-            out.push_str(&format!(
-                "rel(P, K, A, V, C, {name}) :- rel_{name}(P, K, A, V, C).\n"
-            ));
+            ax("rel", &["P", "K", "A", "V", "C", name], &[p(&level_rel(name), &cell)]);
         }
         // Per-level cautious machinery over the statically known order.
+        let (rival, pkac) = (["P", "K", "A", "V2", "C2"], ["P", "K", "A", "C"]);
         for h in lattice.labels() {
             let hn = lattice.name(h);
+            let (vis, beaten) = (format!("visible_{hn}"), format!("beaten_{hn}"));
+            let cau = format!("bel_cau_{hn}");
             for l in lattice.down_set(h) {
-                let ln = lattice.name(l);
-                out.push_str(&format!(
-                    "visible_{hn}(P, K, A, V, C) :- rel_{ln}(P, K, A, V, C).\n"
-                ));
+                ax(&vis, &cell, &[p(&level_rel(lattice.name(l)), &cell)]);
             }
-            out.push_str(&format!(
-                "beaten_{hn}(P, K, A, C) :- visible_{hn}(P, K, A, V, C), \
-                 visible_{hn}(P, K, A, V2, C2), dominate(C, C2), C != C2.\n"
-            ));
-            out.push_str(&format!(
-                "bel_cau_{hn}(P, K, A, V, C) :- visible_{hn}(P, K, A, V, C), \
-                 not beaten_{hn}(P, K, A, C).\n"
-            ));
-            out.push_str(&format!(
-                "bel(P, K, A, V, C, {hn}, cau) :- bel_cau_{hn}(P, K, A, V, C).\n"
-            ));
+            ax(&beaten, &pkac, &[p(&vis, &cell), p(&vis, &rival), p("dominate", &cc), ne()]);
+            ax(&cau, &cell, &[p(&vis, &cell), not(&beaten, &pkac)]);
+            ax("bel", &["P", "K", "A", "V", "C", hn, "cau"], &[p(&cau, &cell)]);
         }
     } else {
         // Generic cautious machinery (negation confined to query strata).
-        out.push_str("visible(P, K, A, V, C, H) :- rel(P, K, A, V, C, L), dominate(L, H).\n");
-        out.push_str(
-            "beaten(P, K, A, C, H) :- visible(P, K, A, V, C, H), \
-             visible(P, K, A, V2, C2, H), dominate(C, C2), C != C2.\n",
-        );
-        out.push_str(
-            "bel(P, K, A, V, C, H, cau) :- visible(P, K, A, V, C, H), \
-             not beaten(P, K, A, C, H).\n",
-        );
+        let (vis, beaten) = ("visible", "beaten");
+        let (rival, pkach) = (["P", "K", "A", "V2", "C2", "H"], ["P", "K", "A", "C", "H"]);
+        ax(vis, &cell_h, &[p("rel", &cell_l), p("dominate", &["L", "H"])]);
+        ax(beaten, &pkach, &[p(vis, &cell_h), p(vis, &rival), p("dominate", &cc), ne()]);
+        ax("bel", &["P", "K", "A", "V", "C", "H", "cau"], &[p(vis, &cell_h), not(beaten, &pkach)]);
     }
     // Monotone modes, split so rule bodies avoid the negation stratum.
-    out.push_str("bel_fir(P, K, A, V, C, H) :- rel(P, K, A, V, C, H).\n");
-    out.push_str("bel_opt(P, K, A, V, C, H) :- rel(P, K, A, V, C, L), dominate(L, H).\n");
-    out.push_str("bel(P, K, A, V, C, H, fir) :- bel_fir(P, K, A, V, C, H).\n");
-    out.push_str("bel(P, K, A, V, C, H, opt) :- bel_opt(P, K, A, V, C, H).\n");
-    Ok(out)
+    ax("bel_fir", &cell_h, &[p("rel", &cell_h)]);
+    ax("bel_opt", &cell_h, &[p("rel", &cell_l), p("dominate", &["L", "H"])]);
+    ax("bel", &["P", "K", "A", "V", "C", "H", "fir"], &[p("bel_fir", &cell_h)]);
+    ax("bel", &["P", "K", "A", "V", "C", "H", "opt"], &[p("bel_opt", &cell_h)]);
 }
 
-fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<String> {
+/// τ of one source clause.
+fn translate_clause(c: &Clause, user: &str, level_split: bool) -> Result<dl::Clause> {
     let head = match &c.head {
         Head::M(m) => {
-            if level_split {
-                let Term::Sym(level) = &m.level else {
-                    return Err(MultiLogError::NotBeliefStratified {
-                        detail: format!(
-                            "reduction of `{c}` requires a ground head level when the \
-                             program consults `<< cau`"
-                        ),
-                    });
-                };
-                format!(
-                    "rel_{level}({}, {}, {}, {}, {})",
-                    m.pred,
-                    term_text(&m.key),
-                    m.attr,
-                    term_text(&m.value),
-                    term_text(&m.class),
-                )
+            let split = if level_split {
+                Some(ground_level(m, || {
+                    format!(
+                        "reduction of `{c}` requires a ground head level when the \
+                         program consults `<< cau`"
+                    )
+                })?)
             } else {
-                matom_text(m)
-            }
+                None
+            };
+            rel_atom(m, split)
         }
-        Head::P(p) => match c.agg {
-            // Aggregate heads render in the Datalog layer's surface
-            // syntax (`total(H, count(K))`); the back-end evaluates the
-            // fold per stratum over distinct witness bindings, so
-            // polyinstantiated m-atoms at different levels count
-            // separately (bag semantics per Bertossi–Gottlob).
-            Some(agg) => {
-                let args: Vec<String> = p
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        if i == agg.position {
-                            format!("{}({})", agg.func.keyword(), term_text(t))
-                        } else {
-                            term_text(t)
-                        }
-                    })
-                    .collect();
-                format!("{}({})", p.pred, args.join(", "))
-            }
-            None => patom_text(p),
-        },
-        Head::L(t) => format!("level({})", term_text(t)),
-        Head::H(l, h) => format!("order({}, {})", term_text(l), term_text(h)),
+        Head::P(p) => patom(p)?,
+        Head::L(t) => dl::Atom::new("level", vec![term(t)]),
+        Head::H(l, h) => dl::Atom::new("order", vec![term(l), term(h)]),
     };
-    if c.body.is_empty() {
-        return Ok(format!("{head}."));
-    }
-    let mut lits: Vec<dl::Literal> = Vec::new();
+    let mut body = Vec::with_capacity(c.body.len());
     for a in &c.body {
-        translate_atom(a, user, level_split, false, &mut lits)?;
+        translate_atom(a, user, level_split, false, &mut body)?;
     }
-    let body: Vec<String> = lits.iter().map(ToString::to_string).collect();
-    Ok(format!("{head} :- {}.", body.join(", ")))
+    let clause = dl::Clause::new(head, body);
+    // Aggregate heads: the back-end folds per stratum over distinct
+    // witness bindings, so polyinstantiated m-atoms at different levels
+    // count separately (bag semantics per Bertossi–Gottlob).
+    Ok(match c.agg {
+        Some(agg) => clause.with_aggregate(dl::Aggregate {
+            func: match agg.func {
+                MAggFunc::Count => dl::AggFunc::Count,
+                MAggFunc::Sum => dl::AggFunc::Sum,
+                MAggFunc::Min => dl::AggFunc::Min,
+                MAggFunc::Max => dl::AggFunc::Max,
+            },
+            position: agg.position,
+        }),
+        None => clause,
+    })
+}
+
+/// τ(λ(goal, u)): the reduced Datalog body of a goal.
+fn translate_goal(goal: &Goal, user: &str, level_split: bool) -> Result<Vec<dl::Literal>> {
+    let mut body = Vec::new();
+    for atom in goal {
+        translate_atom(atom, user, level_split, true, &mut body)?;
+    }
+    Ok(body)
 }
 
 /// τ(λ(B, u)): translate one atom, adding the no-read-up guards for m-
@@ -804,141 +805,128 @@ fn translate_atom(
     in_query: bool,
     out: &mut Vec<dl::Literal>,
 ) -> Result<()> {
-    let lit = |s: &str| -> Result<dl::Literal> {
-        let atoms = dl::parse_query(s).map_err(MultiLogError::Datalog)?;
-        atoms
-            .into_iter()
-            .next()
-            .ok_or_else(|| MultiLogError::Parse {
-                line: 1,
-                column: 1,
-                message: format!("translated literal `{s}` parsed to an empty query"),
-            })
-    };
+    let pos = |pred: &str, terms: Vec<dl::Term>| dl::Literal::Pos(dl::Atom::new(pred, terms));
+    let guard = |t: &Term| pos("dominate", vec![term(t), dl::Term::sym(user)]);
     match atom {
         Atom::M(m) => {
-            if level_split && !in_query {
-                let Term::Sym(level) = &m.level else {
-                    return Err(MultiLogError::NotBeliefStratified {
-                        detail: format!(
-                            "reduction requires ground body m-atom levels when the \
-                             program consults `<< cau` (offending atom: `{m}`)"
-                        ),
-                    });
-                };
-                out.push(lit(&format!(
-                    "rel_{level}({}, {}, {}, {}, {})",
-                    m.pred,
-                    term_text(&m.key),
-                    m.attr,
-                    term_text(&m.value),
-                    term_text(&m.class),
-                ))?);
+            let split = if level_split && !in_query {
+                Some(ground_level(m, || {
+                    format!(
+                        "reduction requires ground body m-atom levels when the \
+                         program consults `<< cau` (offending atom: `{m}`)"
+                    )
+                })?)
             } else {
-                out.push(lit(&matom_text(m))?);
-            }
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.level)))?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.class)))?);
-            Ok(())
+                None
+            };
+            out.extend([
+                dl::Literal::Pos(rel_atom(m, split)),
+                guard(&m.level),
+                guard(&m.class),
+            ]);
         }
         Atom::B(m, mode) => {
-            let base = format!(
-                "{}, {}, {}, {}, {}",
-                m.pred,
-                term_text(&m.key),
-                m.attr,
-                term_text(&m.value),
-                term_text(&m.class),
-            );
-            let translated = match (Mode::parse(mode), in_query) {
-                // Rule bodies use the specialized monotone predicates.
+            let mut terms = cell_terms(m);
+            let pred = match (Mode::parse(mode), in_query) {
+                // Rule bodies use the specialized predicates; under the
+                // level split the level names the cautious relation.
+                (Some(Mode::Cau), false) if level_split => {
+                    let l = ground_level(m, || {
+                        format!("`{m} << cau` needs a ground level for reduction")
+                    })?;
+                    format!("bel_cau_{l}")
+                }
                 (Some(Mode::Fir), false) => {
-                    format!("bel_fir({base}, {})", term_text(&m.level))
+                    terms.push(term(&m.level));
+                    "bel_fir".to_owned()
                 }
                 (Some(Mode::Opt), false) => {
-                    format!("bel_opt({base}, {})", term_text(&m.level))
-                }
-                (Some(Mode::Cau), false) => {
-                    if level_split {
-                        let Term::Sym(level) = &m.level else {
-                            return Err(MultiLogError::NotBeliefStratified {
-                                detail: format!("`{m} << cau` needs a ground level for reduction"),
-                            });
-                        };
-                        format!("bel_cau_{level}({base})")
-                    } else {
-                        format!("bel({base}, {}, cau)", term_text(&m.level))
-                    }
+                    terms.push(term(&m.level));
+                    "bel_opt".to_owned()
                 }
                 // Queries and user modes go through the generic bel/7.
-                _ => format!("bel({base}, {}, {mode})", term_text(&m.level)),
+                _ => {
+                    terms.extend([term(&m.level), dl::Term::sym(mode.as_ref())]);
+                    "bel".to_owned()
+                }
             };
-            out.push(lit(&translated)?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.level)))?);
-            out.push(lit(&format!("dominate({}, {user})", term_text(&m.class)))?);
-            Ok(())
+            out.extend([pos(&pred, terms), guard(&m.level), guard(&m.class)]);
         }
-        Atom::P(p) => {
-            out.push(lit(&patom_text(p))?);
-            Ok(())
-        }
-        Atom::L(t) => {
-            out.push(lit(&format!("level({})", term_text(t)))?);
-            Ok(())
-        }
-        Atom::H(l, h) => {
-            out.push(lit(&format!("order({}, {})", term_text(l), term_text(h)))?);
-            Ok(())
-        }
-        Atom::Leq(l, h) => {
-            out.push(lit(&format!(
-                "dominate({}, {})",
-                term_text(l),
-                term_text(h)
-            ))?);
-            Ok(())
+        Atom::P(p) => out.push(dl::Literal::Pos(patom(p)?)),
+        Atom::L(t) => out.push(pos("level", vec![term(t)])),
+        Atom::H(l, h) => out.push(pos("order", vec![term(l), term(h)])),
+        Atom::Leq(l, h) => out.push(pos("dominate", vec![term(l), term(h)])),
+    }
+    Ok(())
+}
+
+/// The level of `m`, which must be ground: under the level split, an
+/// m-atom's level names its relation. `detail` explains a failure.
+fn ground_level(m: &MAtom, detail: impl FnOnce() -> String) -> Result<&str> {
+    match &m.level {
+        Term::Sym(level) => Ok(level),
+        _ => Err(MultiLogError::NotBeliefStratified { detail: detail() }),
+    }
+}
+
+/// The relation holding the level-`level` cells when `rel` is split per
+/// level.
+fn level_rel(level: &str) -> String {
+    format!("rel_{level}")
+}
+
+/// `p, k, a, v, c`: the columns of an m-atom's τ image before its level.
+fn cell_terms(m: &MAtom) -> Vec<dl::Term> {
+    vec![
+        dl::Term::sym(m.pred.as_ref()),
+        term(&m.key),
+        dl::Term::sym(m.attr.as_ref()),
+        term(&m.value),
+        term(&m.class),
+    ]
+}
+
+/// τ of an m-atom: `rel_l(p, k, a, v, c)` when `split` names the level
+/// `l` of a level-split reduction, else `rel(p, k, a, v, c, l)`.
+fn rel_atom(m: &MAtom, split: Option<&str>) -> dl::Atom {
+    let mut terms = cell_terms(m);
+    match split {
+        Some(level) => dl::Atom::new(level_rel(level), terms),
+        None => {
+            terms.push(term(&m.level));
+            dl::Atom::new("rel", terms)
         }
     }
 }
 
-fn matom_text(m: &MAtom) -> String {
-    format!(
-        "rel({}, {}, {}, {}, {}, {})",
-        m.pred,
-        term_text(&m.key),
-        m.attr,
-        term_text(&m.value),
-        term_text(&m.class),
-        term_text(&m.level),
-    )
+/// τ of a p-atom: the atom itself, except that an algorithm call
+/// `@name(input, t…)` becomes the Datalog layer's call predicate
+/// ([`dl::algo::call_predicate`]) over `t…`.
+fn patom(p: &PAtom) -> Result<dl::Atom> {
+    let Some(name) = p.pred.strip_prefix('@') else {
+        return Ok(dl::Atom::new(
+            p.pred.as_ref(),
+            p.args.iter().map(term).collect(),
+        ));
+    };
+    let Some((Term::Sym(input), args)) = p.args.split_first() else {
+        return Err(MultiLogError::NotAdmissible {
+            detail: format!("algorithm call `{p}` needs an input predicate name first"),
+        });
+    };
+    Ok(dl::Atom::new(
+        dl::algo::call_predicate(name, input),
+        args.iter().map(term).collect(),
+    ))
 }
 
-fn patom_text(p: &crate::ast::PAtom) -> String {
-    if p.args.is_empty() {
-        p.pred.to_string()
-    } else {
-        let args: Vec<String> = p.args.iter().map(term_text).collect();
-        format!("{}({})", p.pred, args.join(", "))
-    }
-}
-
-fn term_text(t: &Term) -> String {
+/// A MultiLog term as a Datalog term: `⊥` becomes the symbol `null`.
+fn term(t: &Term) -> dl::Term {
     match t {
-        Term::Var(v) => v.to_string(),
-        Term::Sym(s) => s.to_string(),
-        Term::Int(i) => i.to_string(),
-        Term::Null => "null".to_owned(),
-    }
-}
-
-/// A ground MultiLog term as a Datalog constant, matching the textual
-/// translation ([`term_text`]): `⊥` becomes the symbol `null`.
-fn term_const(t: &Term) -> dl::Const {
-    match t {
-        Term::Sym(s) => dl::Const::sym(s.as_ref()),
-        Term::Int(i) => dl::Const::int(*i),
-        Term::Null => dl::Const::sym("null"),
-        Term::Var(v) => unreachable!("update atoms are ground (variable `{v}`)"),
+        Term::Var(v) => dl::Term::Var(Arc::clone(v)),
+        Term::Sym(s) => dl::Term::sym(s.as_ref()),
+        Term::Int(i) => dl::Term::int(*i),
+        Term::Null => dl::Term::sym("null"),
     }
 }
 
@@ -1473,6 +1461,29 @@ mod tests {
                 .len()
                 > before.len()
         );
+    }
+
+    #[test]
+    fn reserved_word_values_update_and_answer_on_snapshots() {
+        // `mod` is a keyword of the Datalog syntax but a plain MultiLog
+        // identifier: the serve path must store and answer it like any
+        // other value.
+        let db = parse_database("level(u). level(s). order(u, s). u[p(k : a -u-> v)].").unwrap();
+        let mut red = ReducedEngine::new(&db, "s").unwrap();
+        red.apply_updates(&[EdbUpdate::Assert(goal_matom("u[p(k2 : a -u-> mod)]"))])
+            .unwrap();
+        let (translator, pinned) = (red.goal_translator(), red.database_snapshot());
+        let solve = |goal: &str| {
+            let goal = crate::parser::parse_goal(goal).unwrap();
+            translator.solve_on(&pinned, &goal).unwrap()
+        };
+        let answers = solve("u[p(k2 : a -C-> V)]");
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0]["V"], Term::sym("mod"));
+        // The reserved word as a goal constant translates too.
+        let answers = solve("u[p(K : a -C-> mod)]");
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0]["K"], Term::sym("k2"));
     }
 
     #[test]

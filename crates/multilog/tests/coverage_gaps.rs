@@ -145,7 +145,7 @@ fn reduction_program_roundtrips_through_datalog_parser() {
     ] {
         let db = parse_database(&src).unwrap();
         let red = ReducedEngine::new(&db, "s").unwrap();
-        let prog = multilog_datalog::parse_program(red.program_text()).unwrap();
+        let prog = multilog_datalog::parse_program(&red.program_text()).unwrap();
         assert!(!prog.is_empty());
         prog.stratify().unwrap();
     }

@@ -39,6 +39,37 @@ fn assert_equivalent(db: &MultiLogDb, user: &str, probes: &[&str]) {
     }
 }
 
+/// `multilog reduce` prints [`ReducedEngine::program_text`]: it must
+/// re-parse to exactly the clauses the engine evaluates, in order.
+fn assert_listing_roundtrips(red: &ReducedEngine) {
+    let listing = red.program_text();
+    let reparsed = multilog_datalog::parse_program(&listing).expect("the listing re-parses");
+    assert_eq!(
+        reparsed.clauses(),
+        red.program().clauses(),
+        "listing:\n{listing}"
+    );
+}
+
+#[test]
+fn reduce_listing_roundtrips_for_every_example_and_level() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "mlog") {
+            let db = parse_database(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let lattice = db.lattice().unwrap();
+            for level in lattice.labels() {
+                let red = ReducedEngine::new(&db, lattice.name(level)).unwrap();
+                assert_listing_roundtrips(&red);
+            }
+            files += 1;
+        }
+    }
+    assert!(files >= 4, "found only {files} example databases in {dir}");
+}
+
 #[test]
 fn d1_equivalence_at_every_level() {
     let db = examples::d1();
@@ -109,6 +140,10 @@ fn datalog_degeneration_equivalence() {
     assert_eq!(a, b);
 }
 
+/// Key and value names of [`arb_db`]. `not` and `mod` are plain MultiLog
+/// identifiers but keywords of the Datalog syntax τ targets.
+const NAMES: [&str; 4] = ["k0", "not", "mod", "v1"];
+
 /// Generate a random admissible MultiLog database over a chain lattice:
 /// random facts at random levels plus rules deriving top-level facts from
 /// beliefs about lower levels (respecting belief stratification).
@@ -132,15 +167,16 @@ fn arb_db() -> impl Strategy<Value = (String, usize)> {
                 // Keep classes at or below the fact's level so the guards
                 // behave like the Mission examples.
                 let cls = cls.min(lvl);
-                src.push_str(&format!("l{lvl}[data(k{key} : a -l{cls}-> v{val})].\n"));
+                let (key, val) = (NAMES[key], NAMES[val]);
+                src.push_str(&format!("l{lvl}[data({key} : a -l{cls}-> {val})].\n"));
             }
             let top = depth - 1;
             for (key, mode) in rules {
                 let mode = if mode == 0 { "opt" } else { "cau" };
-                let below = top - 1;
+                let (below, key) = (top - 1, NAMES[key]);
                 src.push_str(&format!(
-                    "l{top}[derived(k{key} : b -l{top}-> dv{key})] <- \
-                     l{below}[data(k{key} : a -C-> V)] << {mode}.\n"
+                    "l{top}[derived({key} : b -l{top}-> d{key})] <- \
+                     l{below}[data({key} : a -C-> V)] << {mode}.\n"
                 ));
             }
             (src, depth)
@@ -169,6 +205,15 @@ proptest! {
                 let b = red.solve_text(goal).expect("red solve");
                 prop_assert_eq!(a, b, "divergence on `{}` at {} for db:\n{}", goal, user, src);
             }
+        }
+    }
+
+    #[test]
+    fn reduce_listing_roundtrips_random_dbs((src, depth) in arb_db()) {
+        let db = parse_database(&src).expect("generated db parses");
+        for lvl in 0..depth {
+            let red = ReducedEngine::new(&db, &format!("l{lvl}")).expect("reduction ok");
+            assert_listing_roundtrips(&red);
         }
     }
 
