@@ -17,7 +17,9 @@
 //!   threads at distinct clearance levels loop refresh + goal against
 //!   their pinned snapshots while the writer commits retract/re-insert
 //!   deltas. Reported as a top-level object with reader p50/p90/p99/p99.9
-//!   query latency (µs), writer commit throughput, and tail attribution:
+//!   query latency (µs), the idle reader p50 (`reader_idle_p50_us`: the
+//!   same readers and goals before the writer starts), writer commit
+//!   throughput, and tail attribution:
 //!   `max_spans_publish` / `tail_publish_overlap_pct` say whether the
 //!   worst-case and top-1% reader latencies coincide with a writer
 //!   commit publish — the snapshot-isolation claim is that reader
@@ -584,12 +586,18 @@ fn run_level_dashboard(repeat: usize) -> (WorkloadResult, usize, f64) {
     (best.expect("repeat >= 1"), rows, beaten_ratio)
 }
 
+/// Goals each `concurrent_churn` reader answers before the writer starts.
+const IDLE_QUERIES: usize = 1000;
+
 /// What the multi-session server did under churn: reader-side query
 /// latency percentiles and writer-side commit throughput.
 struct ConcurrentChurnResult {
     readers: usize,
     commits: usize,
     queries: usize,
+    /// Reader p50 with no writer running: the per-goal serving cost
+    /// alone, free of commit work competing for the cores.
+    reader_idle_p50_us: f64,
     reader_p50_us: f64,
     reader_p90_us: f64,
     reader_p99_us: f64,
@@ -617,7 +625,9 @@ struct ConcurrentChurnResult {
 /// the wall time of each iteration. Readers answer from copy-on-write
 /// generation handles and never take the server mutex, so their latency
 /// should be independent of the writer's commit work — `reader_p99_us`
-/// is the number the snapshot-isolation claim rides on.
+/// is the number the snapshot-isolation claim rides on. Before the
+/// writer starts, the same readers each answer [`IDLE_QUERIES`] goals
+/// with no writer running, for `reader_idle_p50_us`.
 fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult {
     let spec = MultiLogSpec {
         depth: 3,
@@ -636,6 +646,44 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     for level in &levels {
         server.open_reader(level).expect("warm-up reader opens");
     }
+    // Reader r pins level r mod depth and loops one goal there.
+    let reader_goals: Vec<(String, String)> = (0..readers)
+        .map(|r| {
+            let level = levels[r % levels.len()].clone();
+            let goal = if level == top {
+                // The top level sees the rule heads.
+                "l2[derived(k0 : b -C-> V)] << cau".to_owned()
+            } else {
+                format!("{level}[data(k0 : a -C-> V)] << opt")
+            };
+            (level, goal)
+        })
+        .collect();
+
+    let mut idle: Vec<f64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = reader_goals
+            .iter()
+            .map(|(level, goal)| {
+                let server = &server;
+                scope.spawn(move || {
+                    let mut session = server.open_reader(level).expect("reader opens");
+                    (0..IDLE_QUERIES)
+                        .map(|_| {
+                            let start = Instant::now();
+                            session.refresh();
+                            session.query_text(goal).expect("reader goal evaluates");
+                            start.elapsed().as_secs_f64() * 1e6
+                        })
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("idle reader thread joins"))
+            .collect()
+    });
+    idle.sort_by(f64::total_cmp);
 
     let stop = Arc::new(AtomicBool::new(false));
     // Query windows as (start_us, end_us) offsets from a shared clock, so
@@ -646,24 +694,16 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for r in 0..readers {
+        for (level, goal) in &reader_goals {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
-            // Distinct clearance levels: reader r pins level r mod depth.
-            let level = levels[r % levels.len()].clone();
-            let goal = if level == top {
-                // The top level sees the rule heads.
-                "l2[derived(k0 : b -C-> V)] << cau".to_owned()
-            } else {
-                format!("{level}[data(k0 : a -C-> V)] << opt")
-            };
             handles.push(scope.spawn(move || {
-                let mut session = server.open_reader(&level).expect("reader opens");
+                let mut session = server.open_reader(level).expect("reader opens");
                 let mut walls: Vec<(f64, f64)> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let start = clock.elapsed().as_secs_f64() * 1e6;
                     session.refresh();
-                    session.query_text(&goal).expect("reader goal evaluates");
+                    session.query_text(goal).expect("reader goal evaluates");
                     walls.push((start, clock.elapsed().as_secs_f64() * 1e6));
                 }
                 walls
@@ -714,6 +754,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         readers,
         commits,
         queries: all.len(),
+        reader_idle_p50_us: idle[idle.len() / 2],
         reader_p50_us: pct(0.50),
         reader_p90_us: pct(0.90),
         reader_p99_us: pct(0.99),
@@ -1064,6 +1105,10 @@ fn main() {
     json.push_str(&format!("    \"commits\": {},\n", churn.commits));
     json.push_str(&format!("    \"final_epoch\": {},\n", churn.final_epoch));
     json.push_str(&format!("    \"queries\": {},\n", churn.queries));
+    json.push_str(&format!(
+        "    \"reader_idle_p50_us\": {:.1},\n",
+        churn.reader_idle_p50_us
+    ));
     json.push_str(&format!(
         "    \"reader_p50_us\": {:.1},\n",
         churn.reader_p50_us

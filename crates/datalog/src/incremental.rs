@@ -297,6 +297,16 @@ impl IncrementalEngine {
         &self.db
     }
 
+    /// Bring the sorted index on `predicate`'s column `col` to within
+    /// the unsealed-tail bound of the live database, under the rule the
+    /// evaluator applies to the columns its plans probe: seal only once
+    /// the column lags by the bound, and detach the relation
+    /// (copy-on-write) only then. For publishers whose readers probe a
+    /// column no rule does; clones taken afterwards share the runs.
+    pub fn ensure_index(&mut self, predicate: SymId, col: usize) {
+        self.db.ensure_index_id(predicate, col);
+    }
+
     /// Whether a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.in_txn

@@ -28,6 +28,16 @@
 //! total order on `Const` — not by the user-visible text order; only
 //! [`Relation::sorted`] pays for text comparison.
 //!
+//! Immutable readers of a published generation cannot seal anything, so
+//! the publisher seals for them: the incremental engine seals every
+//! materialized index at commit, and a belief server's publish also
+//! indexes the column its readers' goals bind (the MultiLog key of
+//! `bel`/`rel`), which no rule probes. Choosing which bound column
+//! drives a probe then never scans the relation's unindexed columns:
+//! the selectivity estimate ([`Relation::count_eq`]) puts a column with
+//! no sorted run and a long tail at the stored-row count when another
+//! column has a run, so the indexed column wins.
+//!
 //! # Deduplication and retraction
 //!
 //! Duplicate detection stores row ids keyed by tuple hash, split into a
@@ -344,9 +354,28 @@ impl Relation {
         (u128::from(self.id) << 64) | u128::from(self.mutations)
     }
 
-    /// Rows not yet covered by `col`'s sorted runs.
-    pub(crate) fn index_lag(&self, col: usize) -> u32 {
+    /// Rows (tombstones included) not yet covered by `col`'s sorted
+    /// runs: probes and estimates scan these linearly. A column that has
+    /// never been indexed lags by the whole relation.
+    pub fn index_lag(&self, col: usize) -> u32 {
         self.indexes.get(col).map_or(0, |i| self.total - i.covered)
+    }
+
+    /// Whether [`Relation::count_eq`] may skip scanning `col`: it has
+    /// no sorted run and more than [`INDEX_TAIL_MAX`] stored rows, while
+    /// another column does have a run to drive probes from.
+    ///
+    /// The other run is what keeps rule evaluation's choices unchanged.
+    /// Before evaluating a plan the evaluator seals every column it
+    /// probes that lags by [`INDEX_TAIL_MAX`] rows, and a run on any
+    /// column means the relation held that many rows when it was sealed
+    /// (compaction drops every run). So no column a plan probes is
+    /// skipped. A relation that grows past the bound in the middle of a
+    /// round, with no run anywhere, keeps the exact, scanning estimate.
+    fn unindexed(&self, col: usize) -> bool {
+        self.indexes[col].runs.is_empty()
+            && self.total > INDEX_TAIL_MAX
+            && self.indexes.iter().any(|i| !i.runs.is_empty())
     }
 
     /// Whether any column index has been materialized (probed at least
@@ -410,10 +439,14 @@ impl Relation {
     /// count logarithmic and the total merge work O(n log n).
     fn seal_runs_col(&mut self, col: usize) {
         let mut idx = mem::take(&mut self.indexes[col]);
-        let mut run: Vec<u32> = (idx.covered..self.total).collect();
-        run.sort_unstable_by_key(|&r| (key_of(self.cell(r, col)), r));
+        // Keys are read once, in storage order, rather than per
+        // comparison: the sort then touches no column storage.
+        let mut keyed: Vec<(u128, u32)> = (idx.covered..self.total)
+            .map(|r| (key_of(self.cell(r, col)), r))
+            .collect();
+        keyed.sort_unstable();
         idx.covered = self.total;
-        idx.runs.push(run.into());
+        idx.runs.push(keyed.into_iter().map(|(_, r)| r).collect());
         while idx.runs.len() >= 2
             && idx.runs[idx.runs.len() - 1].len() >= idx.runs[idx.runs.len() - 2].len()
         {
@@ -534,8 +567,19 @@ impl Relation {
 
     /// Estimated number of rows (tombstones included) whose `col` cell
     /// equals `value` — the selectivity estimate driving probe-column
-    /// choice.
+    /// choice. Exact on an indexed column: one binary search per sorted
+    /// run plus a scan of the unsealed tail, which sealing keeps within
+    /// [`INDEX_TAIL_MAX`] rows. A column with no sorted run and a longer
+    /// tail, in a relation indexed on some other column, is not scanned
+    /// at all: it is estimated at the stored-row count, the most it can
+    /// match, so the indexed constant column drives the probe instead
+    /// and a driver is chosen without a full pass over the relation per
+    /// candidate column. A relation with no run anywhere is scanned, so
+    /// the estimate stays exact (see `unindexed`).
     pub(crate) fn count_eq(&self, col: usize, value: Const) -> usize {
+        if self.unindexed(col) {
+            return self.total as usize;
+        }
         let k = key_of(value);
         let idx = &self.indexes[col];
         let mut n = 0;
@@ -549,14 +593,15 @@ impl Relation {
     }
 
     /// Live rows whose `col` cell equals `value`. Equal to
-    /// [`Relation::count_eq`] when the relation has no tombstones; with
-    /// tombstones it walks the matching index ranges (O(matching rows)),
-    /// because retract/re-derive churn concentrates them on a few hot
-    /// keys, where `count_eq` can overstate the live rows many times
-    /// over. The join planner confirms with this count a cost prediction
-    /// that `count_eq` put over budget.
+    /// [`Relation::count_eq`] when the relation has no tombstones and
+    /// `col` is indexed; with tombstones it walks the matching index
+    /// ranges (O(matching rows)), because retract/re-derive churn
+    /// concentrates them on a few hot keys, where `count_eq` can
+    /// overstate the live rows many times over. The join planner
+    /// confirms with this count a cost prediction that `count_eq` put
+    /// over budget.
     pub(crate) fn count_eq_live(&self, col: usize, value: Const) -> usize {
-        if self.dead.is_empty() {
+        if self.dead.is_empty() && !self.unindexed(col) {
             return self.count_eq(col, value);
         }
         let k = key_of(value);
@@ -824,8 +869,10 @@ impl Database {
     /// Seal every materialized index tail across all relations. Called
     /// before publishing this database as an immutable snapshot: readers
     /// cannot seal lazily, so shipping fully covered indexes keeps their
-    /// probes on the sorted-run fast path. Detaches (copy-on-write) only
-    /// relations with sealing work outstanding.
+    /// probes on the sorted-run fast path. Columns no rule probes stay
+    /// unindexed; a publisher whose readers bind such a column indexes
+    /// it first ([`crate::IncrementalEngine::ensure_index`]). Detaches
+    /// (copy-on-write) only relations with sealing work outstanding.
     pub fn seal_indexes(&mut self) {
         for rel in self.relations.values_mut() {
             if rel.has_unsealed_index() {
@@ -1114,6 +1161,26 @@ mod tests {
         let pat = vec![None, Some(Const::int(3))];
         let expect = (0..n).filter(|i| i % 7 == 3).count();
         assert_eq!(r.matching(&pat).count(), expect);
+    }
+
+    #[test]
+    fn count_eq_skips_only_unindexed_columns_of_an_indexed_relation() {
+        let mut r = Relation::new();
+        for i in 0..300 {
+            r.insert(vec![Const::int(i % 3), Const::int(i)]);
+        }
+        // No run on any column (a relation grown mid-round, before a
+        // boundary seals it): the estimate is exact.
+        assert_eq!(r.count_eq(0, Const::int(1)), 100);
+        assert_eq!(r.count_eq(1, Const::int(7)), 1);
+        r.ensure_index(1);
+        // Column 1 indexed: column 0 is estimated at the stored-row
+        // count, so column 1 drives, with the same answers.
+        assert_eq!(r.count_eq(0, Const::int(1)), 300);
+        assert_eq!(r.count_eq(1, Const::int(7)), 1);
+        assert_eq!(r.count_eq_live(0, Const::int(1)), 100);
+        let pat = vec![Some(Const::int(1)), Some(Const::int(7))];
+        assert_eq!(r.matching(&pat).count(), 1);
     }
 
     #[test]

@@ -4,16 +4,20 @@
 //! arity — the relation must agree with a plain set model on
 //! membership, length, pattern probes, and re-insert dedup, and the
 //! database's fact counter must track exactly. Snapshot (COW) clones
-//! taken mid-history must never observe later mutations.
+//! taken mid-history must never observe later mutations. Constant-
+//! pattern probes answer the same whichever columns carry a sorted
+//! index, including columns whose selectivity is estimated unscanned.
 
 // Test code: unwraps are the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use multilog_datalog::{Const, Database, Relation};
+use multilog_datalog::{
+    run_query, Atom, Const, Database, IncrementalEngine, Literal, Program, Relation, SymId, Term,
+};
 
 /// One storage op: `(insert, switch_weight, x, y)`. Facts are binary
 /// `(n_x, n_y)` normally; when the weight selects an arity switch the
@@ -170,6 +174,156 @@ proptest! {
                 .map(|r| r.sorted())
                 .unwrap_or_default();
             assert_eq!(before, after, "snapshot mutated by op on {f:?}");
+        }
+    }
+}
+
+/// Column value domains of the probed relation, shaped like `bel`: a
+/// few-valued column, a many-valued key, and two narrow ones.
+const DOMAINS: [u8; 4] = [3, 97, 6, 40];
+
+fn cell(col: usize, v: u8) -> Const {
+    let v = v % DOMAINS[col];
+    if col == 1 {
+        Const::sym(format!("k{v}"))
+    } else {
+        Const::int(i64::from(v))
+    }
+}
+
+fn row(r: (u8, u8, u8, u8)) -> Vec<Const> {
+    vec![cell(0, r.0), cell(1, r.1), cell(2, r.2), cell(3, r.3)]
+}
+
+/// Build `t/4` with the columns in `mask` indexed: a base committed
+/// through an [`IncrementalEngine`], some of it retracted after the
+/// indexes were sealed (tombstones inside the sorted runs), then a
+/// clone that takes `tail` more inserts and `late` retracts without
+/// any sealing (an unsorted index tail). Returns the database and the
+/// live facts.
+fn indexed_relation(
+    mask: u8,
+    base: &[(u8, u8, u8, u8)],
+    early: &[usize],
+    tail: &[(u8, u8, u8, u8)],
+    late: &[usize],
+) -> (Database, BTreeSet<Vec<Const>>) {
+    let t = SymId::intern("t");
+    let mut live: BTreeSet<Vec<Const>> = BTreeSet::new();
+    let mut engine = IncrementalEngine::new(&Program::new()).unwrap();
+    engine.begin().unwrap();
+    for &r in base {
+        engine.insert("t", row(r)).unwrap();
+        live.insert(row(r));
+    }
+    engine.commit().unwrap();
+    for col in (0..4).filter(|c| mask & (1 << c) != 0) {
+        engine.ensure_index(t, col);
+    }
+    let gone: Vec<Vec<Const>> = early
+        .iter()
+        .filter_map(|&i| live.iter().nth(i % live.len().max(1)).cloned())
+        .collect();
+    engine.begin().unwrap();
+    for f in gone {
+        engine.retract("t", f.clone()).unwrap();
+        live.remove(&f);
+    }
+    engine.commit().unwrap();
+    let mut db = engine.database().clone();
+    let mut appended = 0;
+    for &r in tail {
+        if db.insert("t", row(r)) {
+            appended += 1;
+            live.insert(row(r));
+        }
+    }
+    for &i in late {
+        if let Some(f) = live.iter().nth(i % live.len().max(1)).cloned() {
+            db.retract("t", &f);
+            live.remove(&f);
+        }
+    }
+    // Indexed columns lag by exactly the unsealed inserts; the others
+    // were never indexed and lag by every stored row.
+    let rel = db.relation("t").unwrap();
+    for col in 0..4 {
+        let lag = rel.index_lag(col);
+        if mask & (1 << col) != 0 {
+            assert_eq!(lag, appended, "indexed column {col}");
+        } else {
+            assert!(lag > 128, "unindexed column {col} lags by {lag} <= 128");
+        }
+    }
+    (db, live)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `run_query` answers and `Relation::matching` results for random
+    /// constant patterns over 1–3 columns equal a naive filter of the
+    /// live facts, with none, some, or all of the columns indexed — so
+    /// the driver column chosen by the selectivity estimate (scanned on
+    /// indexed columns, the stored-row count on unindexed ones once
+    /// another column is indexed) never changes an answer.
+    #[test]
+    fn constant_probes_agree_with_a_filter_at_any_index_coverage(
+        base in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 200..520),
+        early in proptest::collection::vec(0usize..600, 0..60),
+        tail in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..200),
+        late in proptest::collection::vec(0usize..600, 0..40),
+        some in 1u8..15,
+        patterns in proptest::collection::vec(
+            (proptest::collection::btree_set(0usize..4, 1..4), 0usize..600, any::<bool>()),
+            1..8,
+        ),
+    ) {
+        for mask in [0, some, 0b1111] {
+            let (db, live) = indexed_relation(mask, &base, &early, &tail, &late);
+            let rel = db.relation("t").unwrap();
+            prop_assert_eq!(rel.len(), live.len());
+            for (cols, pick, absent) in &patterns {
+                // Constants from a live fact (a hit), or with one
+                // column pushed outside its domain (a miss).
+                let source = live.iter().nth(pick % live.len()).unwrap();
+                let mut pattern: Vec<Option<Const>> = vec![None; 4];
+                for &c in cols {
+                    pattern[c] = Some(source[c]);
+                }
+                if *absent {
+                    let c = *cols.iter().next().unwrap();
+                    pattern[c] = Some(Const::int(1000));
+                }
+                let want: Vec<Vec<Const>> = live
+                    .iter()
+                    .filter(|f| pattern.iter().zip(f.iter()).all(|(p, v)| p.is_none_or(|c| c == *v)))
+                    .cloned()
+                    .collect();
+                let mut got: Vec<Vec<Const>> = rel.matching(&pattern).map(|f| f.to_vec()).collect();
+                got.sort();
+                prop_assert_eq!(&got, &want, "matching {:?} mask {:#06b}", pattern, mask);
+
+                let terms: Vec<Term> = pattern
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| p.map_or_else(|| Term::var(format!("V{i}")), Term::Const))
+                    .collect();
+                let body = [Literal::Pos(Atom::new("t", terms))];
+                let answers = run_query(&db, &body).unwrap().answers;
+                let mut expected: Vec<BTreeMap<String, Const>> = want
+                    .iter()
+                    .map(|f| {
+                        (0..4)
+                            .filter(|&i| pattern[i].is_none())
+                            .map(|i| (format!("V{i}"), f[i]))
+                            .collect()
+                    })
+                    .collect();
+                expected.sort();
+                expected.dedup();
+                prop_assert_eq!(&answers, &expected, "run_query {:?} mask {:#06b}", pattern, mask);
+            }
         }
     }
 }

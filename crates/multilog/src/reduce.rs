@@ -550,13 +550,32 @@ impl ReducedEngine {
         }
     }
 
-    /// A copy-on-write clone of the current materialized database — an
-    /// O(#relations) handle sharing all fact segments, suitable for
-    /// publishing as a [`dl::GenerationStore`] generation.
-    pub fn database_snapshot(&self) -> dl::Database {
+    /// Publish the current materialized database: a copy-on-write clone
+    /// — an O(#relations) handle sharing all fact segments and index
+    /// runs — suitable as a [`dl::GenerationStore`] generation.
+    ///
+    /// Before cloning, the key column of `bel` and `rel` is indexed on
+    /// this engine's own database (sealed once it lags by the unsealed-
+    /// tail bound), so the clone carries the runs. Every goal reads one
+    /// of the two with its key column as the selective constant, and no
+    /// rule probes it, so nothing else would build that index. Checked
+    /// on every publish: the stratum-recompute fallback and tombstone
+    /// compaction both drop a relation's indexes.
+    pub fn database_snapshot(&mut self) -> dl::Database {
+        for pred in GOAL_RELATIONS {
+            self.incremental
+                .ensure_index(dl::SymId::intern(pred), KEY_COLUMN);
+        }
         self.incremental.database().clone()
     }
 }
+
+/// The relations goals read: τ sends every m-atom goal to `rel` and
+/// every b-atom goal to `bel/7` (the level split is rule-side only).
+const GOAL_RELATIONS: [&str; 2] = ["bel", "rel"];
+/// The column of [`GOAL_RELATIONS`] holding the MultiLog key: τ lays a
+/// cell out as `p, k, a, v, c, …` ([`cell_terms`]).
+const KEY_COLUMN: usize = 1;
 
 /// The query-side half of the τ translation, detached from the engine.
 ///

@@ -14,7 +14,13 @@
 //! Each level also owns a [`dl::GenerationStore`]: after every committed
 //! batch the writer publishes that level's new materialization as the
 //! next *generation* (a copy-on-write [`dl::Database`] clone — an
-//! O(#relations) handle, not a copy of the facts). Readers pin a
+//! O(#relations) handle, not a copy of the facts). A generation carries
+//! the sorted indexes the level engine's rules probe, plus one on the
+//! key column of `bel` and `rel`, which every belief goal binds
+//! ([`ReducedEngine::database_snapshot`] builds it on the engine's own
+//! database before cloning, so generations share its runs). A reader's
+//! goal is therefore a binary search per sorted run, never a scan of
+//! the belief relation. Readers pin a
 //! generation when they open (or [`ReaderSession::refresh`]) and answer
 //! every goal from that pinned snapshot through a detached
 //! [`GoalTranslator`] — they never touch the engines, so a reader never
@@ -230,7 +236,7 @@ impl ServerInner {
                 // Parked after a failed rebuild: heal, keeping the store
                 // (existing readers' refresh must keep working) but
                 // aligning its contents with the committed state.
-                let engine = Self::fresh_engine(db, options, user, history)?;
+                let mut engine = Self::fresh_engine(db, options, user, history)?;
                 let current = engine.database_snapshot();
                 slot.store.publish_at(*commits, current);
                 slot.engine = Some(engine);
@@ -243,7 +249,7 @@ impl ServerInner {
                 })?;
             return Ok((engine.goal_translator(), Arc::clone(&slot.store)));
         }
-        let engine = Self::fresh_engine(db, options, user, history)?;
+        let mut engine = Self::fresh_engine(db, options, user, history)?;
         let store = Arc::new(dl::GenerationStore::with_epoch(
             *commits,
             engine.database_snapshot(),
@@ -326,7 +332,7 @@ impl ServerInner {
         self.commits += 1;
         self.history.extend_from_slice(updates);
         for slot in self.levels.values_mut() {
-            if let Some(engine) = &slot.engine {
+            if let Some(engine) = &mut slot.engine {
                 slot.store
                     .publish_at(self.commits, engine.database_snapshot());
             }
@@ -564,6 +570,56 @@ mod tests {
             pruned.point_query("u", goal).unwrap(),
             reader.query_text(goal).unwrap()
         );
+    }
+
+    #[test]
+    fn published_generations_index_the_goal_key_column() {
+        // The datalog storage's unsealed-tail bound (`INDEX_TAIL_MAX`):
+        // publishing seals a column once it lags by this many rows.
+        const TAIL_BOUND: u32 = 128;
+        let mut src = String::from("level(u). level(c). level(s). order(u, c). order(c, s).\n");
+        for i in 0..200 {
+            src.push_str(&format!("u[p(k{i} : a -u-> v{i})].\n"));
+        }
+        let server = BeliefServer::new(parse_database(&src).unwrap(), EngineOptions::default());
+        let mut readers: Vec<ReaderSession> = ["u", "c", "s"]
+            .iter()
+            .map(|l| server.open_reader(l).unwrap())
+            .collect();
+        // Every goal reads `bel` or `rel` with the key (column 1) bound:
+        // each level's pinned generation must carry that index.
+        let assert_covered = |readers: &mut [ReaderSession], when: &str| {
+            for reader in readers {
+                reader.refresh();
+                for pred in ["bel", "rel"] {
+                    let rel = reader.snapshot().database().relation(pred).unwrap();
+                    assert!(rel.len() > TAIL_BOUND as usize, "{pred} too small to test");
+                    let lag = rel.index_lag(1);
+                    assert!(
+                        lag < TAIL_BOUND,
+                        "{when}: {pred} key column lags {lag} rows at level {}",
+                        reader.user()
+                    );
+                }
+            }
+        };
+        assert_covered(&mut readers, "after open_reader");
+        let mut writer = server.open_writer().unwrap();
+        writer
+            .commit(&[assert_fact("u[p(k200 : a -u-> v200)].")])
+            .unwrap();
+        assert_covered(&mut readers, "after a plain commit");
+        // Retracting 60 of the cells cascades past the deletion budget,
+        // so the belief strata are recomputed, which drops their indexes.
+        let batch: Vec<EdbUpdate> = (0..60)
+            .map(|i| retract_fact(&format!("u[p(k{i} : a -u-> v{i})].")))
+            .collect();
+        let summary = writer.commit(&batch).unwrap();
+        assert!(
+            summary.levels.values().all(|s| s.strata_recomputed > 0),
+            "{summary:?}"
+        );
+        assert_covered(&mut readers, "after a stratum recompute");
     }
 
     #[test]
