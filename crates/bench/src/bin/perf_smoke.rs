@@ -613,6 +613,10 @@ struct ConcurrentChurnResult {
     commits_per_sec: f64,
     writer_wall_ms: f64,
     final_epoch: u64,
+    /// Strata recomputed from scratch, summed over every commit and
+    /// level: deterministic, and 0 while the cautious `not beaten`
+    /// stratum is maintained by its delta rules.
+    strata_recomputed: usize,
 }
 
 /// Run `readers` reader threads against a [`BeliefServer`] while the
@@ -691,6 +695,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
     let mut windows: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut publishes: Vec<f64> = Vec::with_capacity(commits);
     let mut writer_wall_ms = 0.0;
+    let mut strata_recomputed = 0;
     let clock = Instant::now();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -728,7 +733,12 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
             } else {
                 EdbUpdate::Retract(m)
             };
-            writer.commit(&[update]).expect("churn commit applies");
+            let summary = writer.commit(&[update]).expect("churn commit applies");
+            strata_recomputed += summary
+                .levels
+                .values()
+                .map(|s| s.strata_recomputed)
+                .sum::<usize>();
             publishes.push(clock.elapsed().as_secs_f64() * 1e6);
         }
         writer_wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -765,6 +775,7 @@ fn run_concurrent_churn(readers: usize, commits: usize) -> ConcurrentChurnResult
         commits_per_sec: commits as f64 / (writer_wall_ms / 1e3),
         writer_wall_ms,
         final_epoch: server.epoch(),
+        strata_recomputed,
     }
 }
 
@@ -1142,8 +1153,12 @@ fn main() {
         churn.commits_per_sec
     ));
     json.push_str(&format!(
-        "    \"writer_wall_ms\": {:.3}\n",
+        "    \"writer_wall_ms\": {:.3},\n",
         churn.writer_wall_ms
+    ));
+    json.push_str(&format!(
+        "    \"strata_recomputed\": {}\n",
+        churn.strata_recomputed
     ));
     json.push_str("  },\n");
     if let Some(mb) = xl_peak_rss_mb {

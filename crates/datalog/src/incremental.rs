@@ -13,7 +13,8 @@
 //!   a no-op, and a fact that is both asserted and derivable survives the
 //!   loss of either support.
 //! * **Deletion overestimate.** For each stratum the engine enumerates
-//!   every fact with at least one derivation through a deleted fact,
+//!   every fact with at least one derivation through a deleted fact (or
+//!   through a negated literal that an inserted fact falsified),
 //!   using the semi-naive delta variants of the stratum's compiled
 //!   [`plan`](crate::plan) join plans. Deleted lower-stratum facts are
 //!   temporarily re-inserted while the overestimate runs so the non-delta
@@ -22,14 +23,24 @@
 //! * **Rederive.** Overestimated facts are removed, then re-admitted if
 //!   they are base-asserted or still derivable from the surviving
 //!   database; rederivations propagate semi-naively.
-//! * **Insertion propagation.** New facts propagate with the same delta
-//!   plans; a fact re-derived after being deleted in the same commit nets
-//!   out to no change.
-//! * **Fallback.** When a stratum negates over a changed predicate, or a
-//!   deletion cascade overshoots a heuristic threshold, the stratum is
-//!   recomputed from scratch (its predicates reset to base facts, then a
-//!   sequential semi-naive fixpoint) and the result diffed against the
-//!   old contents to keep downstream deltas exact.
+//! * **Insertion propagation.** New facts, and the facts whose negated
+//!   literals a deletion made true, propagate with the same delta plans;
+//!   a fact re-derived after being deleted in the same commit nets out to
+//!   no change.
+//! * **Negation.** A negated predicate lives in a lower stratum, so its
+//!   delta is final before the negating stratum runs. Each negated
+//!   literal `not q(…)` gets two delta variants with `q(…)` prepended as
+//!   the positive delta literal (its existential variables renamed
+//!   apart): over `q`'s insertions, with the negations dropped, it seeds
+//!   the deletion overestimate; over `q`'s deletions, with the negation
+//!   kept and checked against the new database, it seeds insertions
+//!   (see [`Variant`]).
+//! * **Fallback.** When a deletion cascade overshoots a heuristic
+//!   threshold, the stratum is recomputed from scratch (its predicates
+//!   reset to base facts, then a sequential semi-naive fixpoint) and the
+//!   result diffed against the old contents to keep downstream deltas
+//!   exact. Programs with aggregates or algorithm operators recompute
+//!   the whole fixpoint per commit instead of running DRed.
 //!
 //! Every phase threads one [`EvalGuard`] (deadline, fact budget,
 //! cancellation), so a runaway cascade surfaces as the same typed errors
@@ -140,12 +151,10 @@ pub struct IncrementalEngine {
     cancel: Option<CancelToken>,
     threads: usize,
     fallback_threshold: Option<usize>,
-    /// Compiled semi-naive variants (with their reusable executor
-    /// scratch), keyed by (rule index, delta body position); shared
-    /// across commits so batch buffers and join-table caches stay warm.
-    delta_plans: FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    /// Compiled full plans, keyed by rule index (fallback round 1).
-    base_plans: FxHashMap<usize, (RulePlan, Scratch)>,
+    /// Compiled rule variants (with their reusable executor scratch),
+    /// keyed by rule index and [`Variant`]; shared across commits so
+    /// batch buffers and join-table caches stay warm.
+    plans: Plans,
     /// Per-rule/per-stratum counters from the most recent full
     /// materialization ([`IncrementalEngine::recover`]).
     materialize_stats: EvalStats,
@@ -245,8 +254,7 @@ impl IncrementalEngine {
             cancel: None,
             threads: 1,
             fallback_threshold: None,
-            delta_plans: FxHashMap::default(),
-            base_plans: FxHashMap::default(),
+            plans: FxHashMap::default(),
             materialize_stats: EvalStats::default(),
         };
         Ok(engine)
@@ -624,8 +632,7 @@ impl IncrementalEngine {
             db,
             base,
             fallback_threshold,
-            delta_plans,
-            base_plans,
+            plans,
             ..
         } = self;
         let mut changes: FxHashMap<SymId, PredDelta> = FxHashMap::default();
@@ -680,33 +687,33 @@ impl IncrementalEngine {
             {
                 continue;
             }
-            // Incremental maintenance through negation would need the
-            // old truth of the negated predicate; recompute instead.
-            let neg_changed = rule_idxs.iter().any(|&ri| {
-                rules[ri]
-                    .body
-                    .iter()
-                    .any(|l| matches!(l, Literal::Neg(a) if changes.contains_key(&a.predicate)))
-            });
-            if neg_changed {
-                recompute_stratum(
-                    rules,
-                    rule_idxs,
-                    preds,
-                    db,
-                    base,
-                    base_plans,
-                    delta_plans,
-                    guard,
-                    &mut changes,
-                )?;
-                stats.strata_recomputed += 1;
-                continue;
+            // The deltas of every predicate this stratum's rules read,
+            // positively or under negation: final for lower strata, and
+            // the committed base inserts for this stratum's own
+            // predicates. Own-stratum IDB deletions arrive as tentative
+            // seeds instead, never as `changes` entries.
+            let mut ins: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+            let mut del: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+            for lit in rule_idxs.iter().flat_map(|&ri| rules[ri].body.iter()) {
+                let Some(q) = lit.atom().map(|a| a.predicate) else {
+                    continue;
+                };
+                let Some(delta) = changes.get(&q) else {
+                    continue;
+                };
+                let own_idb = preds.contains(&q) && idb.contains(&q);
+                if !delta.ins.is_empty() {
+                    ins.entry(q).or_insert_with(|| fact_buf(&delta.ins));
+                }
+                if !delta.del.is_empty() && !own_idb {
+                    del.entry(q).or_insert_with(|| fact_buf(&delta.del));
+                }
             }
 
-            // Phase A: deletion overestimate. Temporarily restore deleted
-            // lower-stratum facts so the non-delta positions of the delta
-            // joins range over the old database.
+            // Phase A: deletion overestimate, seeded by positive-literal
+            // deletions and negated-literal insertions. Deleted
+            // lower-stratum facts are restored meanwhile, so the non-delta
+            // positions of the joins range over the old database.
             let mut dset: FxHashSet<(SymId, Fact)> = FxHashSet::default();
             let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             for (pred, fact) in &seeds {
@@ -717,32 +724,23 @@ impl IncrementalEngine {
                         .push_row(fact.iter().copied());
                 }
             }
-            let body_preds: FxHashSet<SymId> = rule_idxs
-                .iter()
-                .flat_map(|&ri| rules[ri].body.iter())
-                .filter_map(|l| match l {
-                    Literal::Pos(a) => Some(a.predicate),
-                    _ => None,
-                })
-                .collect();
             let mut temps: Vec<(SymId, Fact)> = Vec::new();
-            for &q in &body_preds {
-                // Own-stratum IDB deletions arrive as tentative seeds, never
-                // as `changes` entries; everything else (lower strata and
-                // same-stratum pure-EDB predicates) seeds the frontier here.
-                if preds.contains(&q) && idb.contains(&q) {
+            for (&q, batch) in &del {
+                let positive = rule_idxs
+                    .iter()
+                    .flat_map(|&ri| rules[ri].body.iter())
+                    .any(|l| matches!(l, Literal::Pos(a) if a.predicate == q));
+                if !positive {
                     continue;
                 }
-                if let Some(delta) = changes.get(&q) {
-                    for fact in &delta.del {
-                        if db.insert_if_new_id(q, fact) {
-                            temps.push((q, fact.clone()));
-                        }
-                        frontier
-                            .entry(q)
-                            .or_default()
-                            .push_row(fact.iter().copied());
+                for fact in batch.rows() {
+                    if db.insert_if_new_id(q, fact) {
+                        temps.push((q, Fact::from(fact)));
                     }
+                    frontier
+                        .entry(q)
+                        .or_default()
+                        .push_row(fact.iter().copied());
                 }
             }
             let stratum_size: usize = preds
@@ -750,31 +748,37 @@ impl IncrementalEngine {
                 .map(|&p| db.relation_id(p).map_or(0, Relation::len))
                 .sum();
             let threshold = fallback_threshold.unwrap_or_else(|| 64.max(stratum_size / 4));
+            if !ins.is_empty() {
+                guard.begin_round(db.fact_count());
+                let seeded = round(
+                    plans,
+                    rules,
+                    rule_idxs,
+                    db,
+                    Seed::NegInserted,
+                    &ins,
+                    guard,
+                    &mut |db, pred, fact| {
+                        db.contains_id(pred, fact) && dset.insert((pred, Fact::from(fact)))
+                    },
+                )?;
+                merge_into(&mut frontier, seeded);
+            }
             let mut fell_back = false;
             while !frontier.is_empty() {
                 guard.begin_round(db.fact_count());
-                let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if db.contains_id(plan.head_pred, fact)
-                                && dset.insert((plan.head_pred, Fact::from(fact)))
-                            {
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                            }
-                        }
-                    }
-                }
+                let next = round(
+                    plans,
+                    rules,
+                    rule_idxs,
+                    db,
+                    Seed::Pos,
+                    &frontier,
+                    guard,
+                    &mut |db, pred, fact| {
+                        db.contains_id(pred, fact) && dset.insert((pred, Fact::from(fact)))
+                    },
+                )?;
                 if dset.len() > threshold {
                     fell_back = true;
                     break;
@@ -791,8 +795,7 @@ impl IncrementalEngine {
                     preds,
                     db,
                     base,
-                    base_plans,
-                    delta_plans,
+                    plans,
                     guard,
                     &mut changes,
                 )?;
@@ -811,9 +814,9 @@ impl IncrementalEngine {
             let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             // Base-asserted facts survive outright; the rest are checked
             // for surviving derivations in one batched evaluation per
-            // rule (see [`rederive_plan`]). Cascaded rederivations — a
-            // candidate supported only through another rederived fact —
-            // are picked up by the semi-naive propagation loop below.
+            // rule (see [`Variant::Rederive`]). Cascaded rederivations —
+            // a candidate supported only through another rederived fact
+            // — are picked up by the semi-naive propagation loop below.
             let mut candidates: FxHashMap<SymId, FactBuf> = FxHashMap::default();
             for (pred, fact) in order {
                 if base.get(&pred).is_some_and(|b| b.contains(&fact)) {
@@ -831,93 +834,95 @@ impl IncrementalEngine {
                         .push_row(fact.iter().copied());
                 }
             }
+            let mut rederive = |db: &mut Database, pred: SymId, fact: &[Const]| {
+                if deleted.remove(&(pred, Fact::from(fact))) {
+                    db.insert_if_new_id(pred, fact);
+                    stats.rederived += 1;
+                    true
+                } else {
+                    false
+                }
+            };
             for &ri in rule_idxs {
                 let Some(cands) = candidates.get(&rules[ri].head.predicate) else {
                     continue;
                 };
-                let (plan, scratch) = rederive_plan(delta_plans, rules, db, ri)?;
-                ensure_plan_indexes(db, plan);
                 let mut out = FactBuf::default();
-                plan.eval(db, Some(cands), scratch, &mut out, guard)?;
+                let head = eval_variant(
+                    plans,
+                    rules,
+                    db,
+                    ri,
+                    Variant::Rederive,
+                    Some(cands),
+                    guard,
+                    &mut out,
+                )?;
                 for fact in out.rows() {
-                    if deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                        db.insert_if_new_id(plan.head_pred, fact);
+                    if rederive(db, head, fact) {
                         frontier
-                            .entry(plan.head_pred)
+                            .entry(head)
                             .or_default()
                             .push_row(fact.iter().copied());
-                        stats.rederived += 1;
                     }
                 }
             }
             while !frontier.is_empty() {
                 guard.begin_round(db.fact_count());
-                let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                                db.insert_if_new_id(plan.head_pred, fact);
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                                stats.rederived += 1;
-                            }
-                        }
-                    }
-                }
-                frontier = next;
+                frontier = round(
+                    plans,
+                    rules,
+                    rule_idxs,
+                    db,
+                    Seed::Pos,
+                    &frontier,
+                    guard,
+                    &mut rederive,
+                )?;
             }
 
-            // Phase C: propagate insertions. A fact that comes back after
-            // being deleted this commit nets out to no change at all.
-            let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-            for &q in &body_preds {
-                if let Some(delta) = changes.get(&q) {
-                    for fact in &delta.ins {
-                        frontier
-                            .entry(q)
-                            .or_default()
-                            .push_row(fact.iter().copied());
-                    }
-                }
-            }
+            // Phase C: propagate insertions, seeded by positive-literal
+            // insertions and negated-literal deletions. A fact that comes
+            // back after being deleted this commit nets out to no change.
             let mut stratum_ins: Vec<(SymId, Fact)> = Vec::new();
+            let mut insert = |db: &mut Database, pred: SymId, fact: &[Const]| {
+                if !db.insert_if_new_id(pred, fact) {
+                    return false;
+                }
+                if !deleted.remove(&(pred, Fact::from(fact))) {
+                    stratum_ins.push((pred, Fact::from(fact)));
+                }
+                true
+            };
+            let mut frontier = FxHashMap::default();
+            if !del.is_empty() {
+                guard.begin_round(db.fact_count());
+                frontier = round(
+                    plans,
+                    rules,
+                    rule_idxs,
+                    db,
+                    Seed::NegDeleted,
+                    &del,
+                    guard,
+                    &mut insert,
+                )?;
+                guard.check_db(db.fact_count())?;
+            }
+            merge_into(&mut frontier, ins);
             while !frontier.is_empty() {
                 guard.begin_round(db.fact_count());
-                let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-                for &ri in rule_idxs {
-                    for (pos, lit) in rules[ri].body.iter().enumerate() {
-                        let Literal::Pos(atom) = lit else { continue };
-                        let Some(delta) = frontier.get(&atom.predicate) else {
-                            continue;
-                        };
-                        let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                        ensure_plan_indexes(db, plan);
-                        let mut out = FactBuf::default();
-                        plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                        for fact in out.rows() {
-                            if db.insert_if_new_id(plan.head_pred, fact) {
-                                if !deleted.remove(&(plan.head_pred, Fact::from(fact))) {
-                                    stratum_ins.push((plan.head_pred, Fact::from(fact)));
-                                }
-                                next.entry(plan.head_pred)
-                                    .or_default()
-                                    .push_row(fact.iter().copied());
-                            }
-                        }
-                    }
-                }
+                frontier = round(
+                    plans,
+                    rules,
+                    rule_idxs,
+                    db,
+                    Seed::Pos,
+                    &frontier,
+                    guard,
+                    &mut insert,
+                )?;
                 guard.check_db(db.fact_count())?;
-                frontier = next;
             }
             for (pred, fact) in deleted {
                 changes.entry(pred).or_default().del.push(fact);
@@ -972,59 +977,192 @@ fn ensure_plan_indexes(db: &mut Database, plan: &RulePlan) {
     }
 }
 
-/// Fetch (compiling on first use) the semi-naive variant of rule `ri`
-/// with its delta at body position `pos`, paired with its long-lived
-/// executor scratch.
-fn delta_plan<'a>(
-    plans: &'a mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    rules: &[Clause],
-    db: &Database,
-    ri: usize,
-    pos: usize,
-) -> Result<(&'a RulePlan, &'a mut Scratch)> {
-    use std::collections::hash_map::Entry;
-    let (plan, scratch) = match plans.entry((ri, pos)) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let plan = RulePlan::compile(&rules[ri], Some(pos), db)?;
-            let scratch = plan.new_scratch();
-            e.insert((plan, scratch))
-        }
-    };
-    Ok((&*plan, scratch))
+/// Compiled rule variants and their executor scratch, by rule index.
+type Plans = FxHashMap<(usize, Variant), (RulePlan, Scratch)>;
+
+/// The compiled forms of one rule that maintenance evaluates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Variant {
+    /// The rule as written, no delta (round 1 of a stratum recompute).
+    Full,
+    /// Semi-naive: the positive literal at this body position reads
+    /// the delta batch.
+    Delta(usize),
+    /// Batched rederivation check: the rule's own head is prepended as
+    /// the delta literal, so evaluating `h :- h*, body…` with the
+    /// deletion candidates as the batch returns exactly the candidates
+    /// with a derivation in the current database, in one join pass.
+    Rederive,
+    /// Deletion overestimate through the negated literal `not q(…)` at
+    /// this body position: `q(…)` is prepended as the delta literal over
+    /// `q`'s insertions, its existential variables renamed apart, and
+    /// every negated literal of the rule dropped. Dropping them all keeps
+    /// the overestimate a superset of the lost derivations even when one
+    /// commit inserts facts under two negations of the same derivation.
+    NegInserted(usize),
+    /// Insertion through the negated literal at this body position: the
+    /// same prepended, renamed `q(…)` reads `q`'s deletions, and the body
+    /// is kept whole, so the original negation is checked against the
+    /// new database.
+    NegDeleted(usize),
 }
 
-/// Compiled batched rederivation check for one rule, cached under the
-/// sentinel position `usize::MAX` (real delta positions index into the
-/// body, so they never collide).
-///
-/// The rule's own head atom is prepended to the body as the delta
-/// literal: evaluating `h :- h*, body...` with the deletion candidates
-/// as the delta batch returns exactly the candidates with at least one
-/// derivation in the current database, in one join pass. This replaces
-/// a per-candidate ground compile + eval, which dominated retraction
-/// commits once candidate sets reached a few hundred facts.
-fn rederive_plan<'a>(
-    plans: &'a mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
-    rules: &[Clause],
-    db: &Database,
-    ri: usize,
-) -> Result<(&'a RulePlan, &'a mut Scratch)> {
-    use std::collections::hash_map::Entry;
-    let (plan, scratch) = match plans.entry((ri, usize::MAX)) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let rule = &rules[ri];
+/// Which literals read the batches in one [`round`].
+#[derive(Clone, Copy)]
+enum Seed {
+    /// Positive literals ([`Variant::Delta`]).
+    Pos,
+    /// Negated literals, over their predicate's insertions.
+    NegInserted,
+    /// Negated literals, over their predicate's deletions.
+    NegDeleted,
+}
+
+/// The clause that `variant` of `rule` evaluates, with its delta body
+/// position.
+fn variant_clause(rule: &Clause, variant: Variant) -> Result<(Clause, Option<usize>)> {
+    let pos = match variant {
+        Variant::Full => return Ok((rule.clone(), None)),
+        Variant::Delta(pos) => return Ok((rule.clone(), Some(pos))),
+        Variant::Rederive => {
             let mut body = Vec::with_capacity(rule.body.len() + 1);
             body.push(Literal::Pos(rule.head.clone()));
             body.extend(rule.body.iter().cloned());
-            let check = Clause::new(rule.head.clone(), body);
-            let plan = RulePlan::compile(&check, Some(0), db)?;
+            return Ok((Clause::new(rule.head.clone(), body), Some(0)));
+        }
+        Variant::NegInserted(pos) | Variant::NegDeleted(pos) => pos,
+    };
+    let Some(Literal::Neg(atom)) = rule.body.get(pos) else {
+        return Err(DatalogError::Internal {
+            detail: format!("body position {pos} of `{rule}` is not a negated literal"),
+        });
+    };
+    // The executor quantifies a negated literal's variables that no
+    // earlier positive literal or arithmetic target binds (textual
+    // order); prepending `q(…)` would bind them, so they are renamed to
+    // names no parsed variable can take.
+    let mut bound: FxHashSet<&str> = FxHashSet::default();
+    for lit in &rule.body[..pos] {
+        match lit {
+            Literal::Pos(a) => bound.extend(a.variables()),
+            Literal::Arith { target, .. } => bound.extend(target.as_var()),
+            Literal::Neg(_) | Literal::Cmp { .. } => {}
+        }
+    }
+    let seed = Atom {
+        predicate: atom.predicate,
+        terms: atom
+            .terms
+            .iter()
+            .map(|t| match t.as_var() {
+                Some(v) if !bound.contains(v) => Term::var(format!("{v}~{pos}")),
+                _ => t.clone(),
+            })
+            .collect(),
+    };
+    let mut body = vec![Literal::Pos(seed)];
+    let keep_negations = matches!(variant, Variant::NegDeleted(_));
+    body.extend(
+        rule.body
+            .iter()
+            .filter(|l| keep_negations || !matches!(l, Literal::Neg(_)))
+            .cloned(),
+    );
+    Ok((Clause::new(rule.head.clone(), body), Some(0)))
+}
+
+/// Evaluate `variant` of rule `ri` (compiling it on first use) with
+/// `delta` as its delta batch, appending the derived tuples to `out`;
+/// returns the head predicate.
+#[allow(clippy::too_many_arguments)]
+fn eval_variant(
+    plans: &mut Plans,
+    rules: &[Clause],
+    db: &mut Database,
+    ri: usize,
+    variant: Variant,
+    delta: Option<&FactBuf>,
+    guard: &EvalGuard,
+    out: &mut FactBuf,
+) -> Result<SymId> {
+    use std::collections::hash_map::Entry;
+    let (plan, scratch) = match plans.entry((ri, variant)) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            let (clause, delta_pos) = variant_clause(&rules[ri], variant)?;
+            let plan = RulePlan::compile(&clause, delta_pos, db)?;
             let scratch = plan.new_scratch();
             e.insert((plan, scratch))
         }
     };
-    Ok((&*plan, scratch))
+    ensure_plan_indexes(db, plan);
+    plan.eval(db, delta, scratch, out, guard)?;
+    Ok(plan.head_pred)
+}
+
+/// One semi-naive round over the stratum's rules: every literal of the
+/// `seed` kind whose predicate has a batch in `batches` reads it as its
+/// delta. `keep` sees each derived tuple (and may write the database);
+/// the tuples it accepts form the returned next frontier.
+#[allow(clippy::too_many_arguments)]
+fn round(
+    plans: &mut Plans,
+    rules: &[Clause],
+    rule_idxs: &[usize],
+    db: &mut Database,
+    seed: Seed,
+    batches: &FxHashMap<SymId, FactBuf>,
+    guard: &EvalGuard,
+    keep: &mut dyn FnMut(&mut Database, SymId, &[Const]) -> bool,
+) -> Result<FxHashMap<SymId, FactBuf>> {
+    let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+    let mut out = FactBuf::default();
+    for &ri in rule_idxs {
+        for (pos, lit) in rules[ri].body.iter().enumerate() {
+            let (variant, atom) = match (seed, lit) {
+                (Seed::Pos, Literal::Pos(a)) => (Variant::Delta(pos), a),
+                (Seed::NegInserted, Literal::Neg(a)) => (Variant::NegInserted(pos), a),
+                (Seed::NegDeleted, Literal::Neg(a)) => (Variant::NegDeleted(pos), a),
+                _ => continue,
+            };
+            let Some(delta) = batches.get(&atom.predicate) else {
+                continue;
+            };
+            out.clear();
+            let head = eval_variant(plans, rules, db, ri, variant, Some(delta), guard, &mut out)?;
+            for fact in out.rows() {
+                if keep(db, head, fact) {
+                    next.entry(head).or_default().push_row(fact.iter().copied());
+                }
+            }
+        }
+    }
+    Ok(next)
+}
+
+/// The facts as one batch.
+fn fact_buf(facts: &[Fact]) -> FactBuf {
+    let mut buf = FactBuf::default();
+    for fact in facts {
+        buf.push_row(fact.iter().copied());
+    }
+    buf
+}
+
+/// Append every batch of `from` to `into`.
+fn merge_into(into: &mut FxHashMap<SymId, FactBuf>, from: FxHashMap<SymId, FactBuf>) {
+    for (pred, batch) in from {
+        match into.entry(pred) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(batch);
+            }
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                for row in batch.rows() {
+                    e.get_mut().push_row(row.iter().copied());
+                }
+            }
+        }
+    }
 }
 
 /// Recompute one stratum from scratch: reset its predicates to base
@@ -1037,8 +1175,7 @@ fn recompute_stratum(
     preds: &FxHashSet<SymId>,
     db: &mut Database,
     base: &FxHashMap<SymId, FxHashSet<Fact>>,
-    base_plans: &mut FxHashMap<usize, (RulePlan, Scratch)>,
-    delta_plans: &mut FxHashMap<(usize, usize), (RulePlan, Scratch)>,
+    plans: &mut Plans,
     guard: &EvalGuard,
     changes: &mut FxHashMap<SymId, PredDelta>,
 ) -> Result<()> {
@@ -1066,23 +1203,14 @@ fn recompute_stratum(
     // own new facts.
     guard.begin_round(db.fact_count());
     let mut frontier: FxHashMap<SymId, FactBuf> = FxHashMap::default();
+    let mut out = FactBuf::default();
     for &ri in rule_idxs {
-        if let std::collections::hash_map::Entry::Vacant(e) = base_plans.entry(ri) {
-            let plan = RulePlan::compile(&rules[ri], None, db)?;
-            let scratch = plan.new_scratch();
-            e.insert((plan, scratch));
-        }
-        ensure_plan_indexes(db, &base_plans[&ri].0);
-        let Some((plan, scratch)) = base_plans.get_mut(&ri) else {
-            unreachable!("plan compiled above");
-        };
-        let plan = &*plan;
-        let mut out = FactBuf::default();
-        plan.eval(db, None, scratch, &mut out, guard)?;
+        out.clear();
+        let head = eval_variant(plans, rules, db, ri, Variant::Full, None, guard, &mut out)?;
         for fact in out.rows() {
-            if db.insert_if_new_id(plan.head_pred, fact) {
+            if db.insert_if_new_id(head, fact) {
                 frontier
-                    .entry(plan.head_pred)
+                    .entry(head)
                     .or_default()
                     .push_row(fact.iter().copied());
             }
@@ -1091,28 +1219,17 @@ fn recompute_stratum(
     guard.check_db(db.fact_count())?;
     while !frontier.is_empty() {
         guard.begin_round(db.fact_count());
-        let mut next: FxHashMap<SymId, FactBuf> = FxHashMap::default();
-        for &ri in rule_idxs {
-            for (pos, lit) in rules[ri].body.iter().enumerate() {
-                let Literal::Pos(atom) = lit else { continue };
-                let Some(delta) = frontier.get(&atom.predicate) else {
-                    continue;
-                };
-                let (plan, scratch) = delta_plan(delta_plans, rules, db, ri, pos)?;
-                ensure_plan_indexes(db, plan);
-                let mut out = FactBuf::default();
-                plan.eval(db, Some(delta), scratch, &mut out, guard)?;
-                for fact in out.rows() {
-                    if db.insert_if_new_id(plan.head_pred, fact) {
-                        next.entry(plan.head_pred)
-                            .or_default()
-                            .push_row(fact.iter().copied());
-                    }
-                }
-            }
-        }
+        frontier = round(
+            plans,
+            rules,
+            rule_idxs,
+            db,
+            Seed::Pos,
+            &frontier,
+            guard,
+            &mut |db, pred, fact| db.insert_if_new_id(pred, fact),
+        )?;
         guard.check_db(db.fact_count())?;
-        frontier = next;
     }
     for (&pred, old_facts) in sorted_preds.iter().zip(old) {
         let mut ins: Vec<Fact> = Vec::new();
@@ -1255,7 +1372,24 @@ mod tests {
     }
 
     #[test]
-    fn negation_stratum_falls_back_to_recompute() {
+    fn asserted_idb_fact_propagates_through_its_own_stratum() {
+        // `path` is derived in the stratum that reads it: its committed
+        // base insert is a delta of that same stratum.
+        let program = tc_program();
+        let mut engine = IncrementalEngine::new(&program).unwrap();
+        engine.begin().unwrap();
+        engine.insert("path", vec![s("x"), s("a")]).unwrap();
+        let stats = engine.commit().unwrap();
+        assert_eq!(stats.derived_added, 3, "stats: {stats:?}"); // (x,a) (x,b) (x,c)
+        assert!(engine.database().contains("path", &[s("x"), s("c")]));
+        assert_matches_scratch(&engine);
+    }
+
+    #[test]
+    fn negation_stratum_is_maintained_without_recompute() {
+        // `reached` is final before `unreachable`'s stratum runs, so its
+        // insertions seed the deletion overestimate and its deletions
+        // seed insertions: no stratum is recomputed either way.
         let program = parse_program(
             "node(a). node(b). edge(a, b).
              reached(X) :- edge(a, X).
@@ -1265,12 +1399,61 @@ mod tests {
         let mut engine = IncrementalEngine::new(&program).unwrap();
         assert!(engine.database().contains("unreachable", &[s("a")]));
         assert!(!engine.database().contains("unreachable", &[s("b")]));
+        // The negated predicate loses a fact.
         engine.begin().unwrap();
         engine.retract("edge", vec![s("a"), s("b")]).unwrap();
         let stats = engine.commit().unwrap();
-        assert!(stats.strata_recomputed >= 1, "stats: {stats:?}");
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+        assert_eq!(stats.derived_added, 1, "stats: {stats:?}");
         assert!(engine.database().contains("unreachable", &[s("b")]));
         assert_matches_scratch(&engine);
+        // The negated predicate gains one.
+        engine.begin().unwrap();
+        engine.insert("edge", vec![s("a"), s("a")]).unwrap();
+        let stats = engine.commit().unwrap();
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+        assert_eq!(stats.derived_removed, 1, "stats: {stats:?}");
+        assert!(!engine.database().contains("unreachable", &[s("a")]));
+        assert!(engine.database().contains("unreachable", &[s("b")]));
+        assert_matches_scratch(&engine);
+    }
+
+    #[test]
+    fn negation_with_an_existential_variable_is_maintained_without_recompute() {
+        // `not edge(X, Y)` reads "X has no outgoing edge": the delta
+        // variants must keep `Y` existential, not bind it to the changed
+        // edge's target.
+        let program = parse_program(
+            "node(a). node(b). node(c). edge(a, b). edge(a, c).
+             sink(X) :- node(X), not edge(X, Y).",
+        )
+        .unwrap();
+        let mut engine = IncrementalEngine::new(&program).unwrap();
+        assert!(!engine.database().contains("sink", &[s("a")]));
+        // Losing one of two out-edges leaves `a` a non-sink.
+        engine.begin().unwrap();
+        engine.retract("edge", vec![s("a"), s("b")]).unwrap();
+        let stats = engine.commit().unwrap();
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+        assert!(!engine.database().contains("sink", &[s("a")]));
+        assert_matches_scratch(&engine);
+        // Losing the last one makes it a sink.
+        engine.begin().unwrap();
+        engine.retract("edge", vec![s("a"), s("c")]).unwrap();
+        let stats = engine.commit().unwrap();
+        assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+        assert!(engine.database().contains("sink", &[s("a")]));
+        assert_matches_scratch(&engine);
+        // A first out-edge of a sink removes it; a second changes nothing.
+        for (to, removed) in [("a", 1), ("b", 0)] {
+            engine.begin().unwrap();
+            engine.insert("edge", vec![s("b"), s(to)]).unwrap();
+            let stats = engine.commit().unwrap();
+            assert_eq!(stats.strata_recomputed, 0, "stats: {stats:?}");
+            assert_eq!(stats.derived_removed, removed, "stats: {stats:?}");
+            assert!(!engine.database().contains("sink", &[s("b")]));
+            assert_matches_scratch(&engine);
+        }
     }
 
     #[test]
@@ -1501,8 +1684,9 @@ mod tests {
     #[test]
     fn recompute_fallback_diffs_without_snapshot_lookup() {
         // The recompute fallback's old-snapshot diff no longer has a
-        // fallible map lookup; pin the fallback path (negation forces
-        // it) producing exact deltas over a retract.
+        // fallible map lookup; pin the fallback path (a zero cascade
+        // threshold forces it) producing exact deltas over a retract,
+        // with a negated stratum downstream reading those deltas.
         let program = parse_program(
             "edge(a, b). edge(b, c). node(a). node(b). node(c).
              path(X, Y) :- edge(X, Y).
@@ -1510,12 +1694,15 @@ mod tests {
              isolated(X) :- node(X), not path(a, X).",
         )
         .expect("program parses");
-        let mut engine = IncrementalEngine::new(&program).unwrap();
+        let mut engine = IncrementalEngine::new(&program)
+            .unwrap()
+            .with_fallback_threshold(0);
         assert!(engine.database().contains("isolated", &[s("a")]));
         assert!(!engine.database().contains("isolated", &[s("c")]));
         engine.begin().unwrap();
         engine.retract("edge", vec![s("b"), s("c")]).unwrap();
-        engine.commit().unwrap();
+        let stats = engine.commit().unwrap();
+        assert!(stats.strata_recomputed >= 1, "stats: {stats:?}");
         assert!(engine.database().contains("isolated", &[s("c")]));
         assert_matches_scratch(&engine);
     }

@@ -121,7 +121,7 @@ pub use parser::{parse_atom, parse_clause, parse_program, parse_query};
 pub use program::{DepGraph, Program, Stratification};
 pub use query::{run_query, run_query_guarded, Bindings, QueryAnswer, QueryGuards};
 pub use snapshot::{GenerationStore, Snapshot};
-pub use storage::{Database, Relation};
+pub use storage::{Database, IndexShape, Relation};
 pub use term::{Const, SymId, Term};
 pub use trace::{NoopTrace, RecordingTrace, TraceEvent, TraceSink};
 

@@ -10,12 +10,19 @@
 //! it atomically: a brief pointer swap under a write lock that readers
 //! only contend on for the duration of one `Arc` clone.
 //!
+//! Freeing a generation is the writer's job, never a reader's: a
+//! generation's last holder frees every relation the next generation
+//! detached, which is commit-sized work. A reader that re-pins
+//! ([`GenerationStore::refresh`]) hands its old pin to the store, and the
+//! writer drops the retired pins at its next publish, after releasing
+//! the write lock, together with the generation that publish replaced.
+//!
 //! The store deliberately knows nothing about transactions or rule
 //! evaluation — it is the narrow waist between the incremental
 //! maintenance layer (which produces generations) and the session layer
 //! (which hands out pinned snapshots per reader).
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::storage::Database;
 
@@ -67,6 +74,8 @@ impl std::ops::Deref for Snapshot {
 #[derive(Debug)]
 pub struct GenerationStore {
     current: RwLock<Snapshot>,
+    /// Pins that readers replaced, freed by the next publish.
+    retired: Mutex<Vec<Snapshot>>,
 }
 
 /// Read the lock even if a panicking writer poisoned it: the guarded
@@ -98,6 +107,7 @@ impl GenerationStore {
                 epoch,
                 db: Arc::new(db),
             }),
+            retired: Mutex::default(),
         }
     }
 
@@ -113,18 +123,33 @@ impl GenerationStore {
         read_current(&self.current).epoch
     }
 
+    /// Re-pin `pinned` to the current generation and return its epoch.
+    /// The replaced pin is handed to the store rather than dropped here,
+    /// so a reader never frees a generation: the next publish does.
+    pub fn refresh(&self, pinned: &mut Snapshot) -> u64 {
+        let current = self.snapshot();
+        if !Arc::ptr_eq(&current.db, &pinned.db) {
+            let old = std::mem::replace(pinned, current);
+            self.retired
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(old);
+        }
+        pinned.epoch
+    }
+
+    /// Pins handed back by [`refresh`](GenerationStore::refresh) since
+    /// the last publish, not yet freed.
+    pub fn retired(&self) -> usize {
+        self.retired.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
     /// Publish `db` as the next generation and return its epoch.
     ///
     /// Existing snapshots keep their pinned generation; only snapshots
     /// taken after this call observe the new one.
     pub fn publish(&self, db: Database) -> u64 {
-        // Allocate the Arc outside the critical section; the lock is
-        // held only for the swap.
-        let db = Arc::new(db);
-        let mut current = write_current(&self.current);
-        current.epoch += 1;
-        current.db = db;
-        current.epoch
+        self.swap(db, |epoch| epoch + 1)
     }
 
     /// Publish `db` at an explicit `epoch` (which may repeat or skip
@@ -132,10 +157,24 @@ impl GenerationStore {
     /// healing a parked level: the epoch must track the *global* commit
     /// count, not this store's publish count.
     pub fn publish_at(&self, epoch: u64, db: Database) {
-        let db = Arc::new(db);
-        let mut current = write_current(&self.current);
-        current.epoch = epoch;
-        current.db = db;
+        self.swap(db, |_| epoch);
+    }
+
+    /// Swap in `db` at the epoch `next` computes from the current one,
+    /// then free the replaced generation and the retired pins, all
+    /// outside the write lock, which is held only for the swap.
+    fn swap(&self, db: Database, next: impl FnOnce(u64) -> u64) -> u64 {
+        let retired = std::mem::take(&mut *self.retired.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut db = Arc::new(db);
+        let epoch = {
+            let mut current = write_current(&self.current);
+            current.epoch = next(current.epoch);
+            std::mem::swap(&mut current.db, &mut db);
+            current.epoch
+        };
+        drop(db);
+        drop(retired);
+        epoch
     }
 }
 
@@ -209,6 +248,26 @@ mod tests {
             base.relation("p").expect("p exists"),
             next.relation("p").expect("p exists"),
         ));
+    }
+
+    #[test]
+    fn refresh_retires_the_old_pin_until_the_next_publish() {
+        let store = GenerationStore::new(db_with(&[("p", "a")]));
+        let mut pinned = store.snapshot();
+        // Nothing new: the pin stays and nothing is retired.
+        assert_eq!(store.refresh(&mut pinned), 0);
+        assert_eq!(store.retired(), 0);
+        let weak = Arc::downgrade(&pinned.shared());
+        store.publish(db_with(&[("p", "b")]));
+        assert_eq!(store.refresh(&mut pinned), 1);
+        assert!(pinned.contains("p", &[Const::sym("b")]));
+        // The reader let go of epoch 0, but the store still holds it.
+        assert_eq!(store.retired(), 1);
+        assert!(weak.upgrade().is_some());
+        store.publish_at(7, db_with(&[("p", "c")]));
+        assert_eq!(store.retired(), 0);
+        assert!(weak.upgrade().is_none(), "the publish freed epoch 0");
+        assert_eq!(store.refresh(&mut pinned), 7);
     }
 
     #[test]

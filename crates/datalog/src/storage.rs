@@ -8,14 +8,16 @@
 //! are grouped into fixed-size *segments* — once a segment fills it is
 //! sealed behind an `Arc` and never mutated again, so cloning a relation
 //! (the copy-on-write path behind MVCC generations) shares every sealed
-//! segment and deep-copies only the short mutable tail.
+//! segment and deep-copies only the short mutable tail. Segments are
+//! 256 rows, so that tail, all a detach copies of the cells, stays
+//! small.
 //!
 //! # Indexes
 //!
 //! Each column carries a *sorted permutation index*: row ids ordered by
-//! cell value, maintained as a small set of sorted runs merged with a
-//! doubling (binary-counter) discipline, plus an unsorted tail of the
-//! most recent rows that probes scan linearly. Indexes are built
+//! cell value, maintained as a few sorted runs merged under a levelled
+//! discipline (one run per eightfold size level), plus an unsorted tail
+//! of the most recent rows that probes scan linearly. Indexes are built
 //! **lazily**: inserts never sort anything; the evaluator declares which
 //! columns its compiled plans will probe and seals them up to date at
 //! round boundaries ([`Relation::ensure_index`], driven by
@@ -42,10 +44,18 @@
 //!
 //! Duplicate detection stores row ids keyed by tuple hash, split into a
 //! frozen `Arc`-shared map and a per-clone overlay of recent inserts
-//! that is folded into the frozen map amortized. Retraction tombstones
-//! the row (probes filter the `dead` set) and compacts the relation once
-//! tombstones reach half the stored rows, so storage stays within a
-//! constant factor of the live set without per-retract index surgery.
+//! that is folded into the frozen map amortized. While a clone shares
+//! the frozen map, the overlay folds at about `4·sqrt(n)` of the `n`
+//! entries: a detach copies the overlay and a fold copies the shared
+//! map, and that size balances the two.
+//! Retraction sets the row's bit in a tombstone bitmap and compacts the
+//! relation once tombstones reach half the stored rows, so storage stays
+//! within a constant factor of the live set without per-retract index
+//! surgery. Sorted runs never take a tombstoned row in: a seal skips
+//! dead rows, and a row retracted after it was sealed stays listed as
+//! *stale* only until a merge drops it, or until stale rows pass a
+//! sixteenth of the column's covered rows and its runs collapse into
+//! one.
 
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -54,7 +64,7 @@ use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::fx::{FxHashMap, FxHashSet, FxHasher};
+use crate::fx::{FxHashMap, FxHasher};
 use crate::term::{Const, SymId};
 
 /// A stored fact: one tuple of constants.
@@ -117,7 +127,9 @@ impl FactBuf {
 }
 
 /// Rows per sealed segment; a power of two so row → segment is a shift.
-const SEG_SHIFT: u32 = 12;
+/// A copy-on-write detach copies the unsealed tail, fewer than this
+/// many rows of cells.
+const SEG_SHIFT: u32 = 8;
 const SEG_ROWS: u32 = 1 << SEG_SHIFT;
 /// Most recent rows a column index may leave unsorted before
 /// [`Database::ensure_index_id`] reseals the column. Probes scan this
@@ -130,8 +142,12 @@ static NEXT_RELATION_ID: AtomicU64 = AtomicU64::new(1);
 fn fresh_relation_id() -> u64 {
     NEXT_RELATION_ID.fetch_add(1, Ordering::Relaxed)
 }
-/// Minimum overlay size before it is folded into the frozen dedup map.
+/// Minimum overlay size before it is folded into the frozen dedup map
+/// while no clone shares that map.
 const FOLD_MIN: usize = 4096;
+/// Minimum overlay size before a fold while a clone shares the frozen
+/// map (see [`Relation::fold_overlay`]).
+const SHARED_FOLD_MIN: usize = 256;
 /// Minimum tombstones before compaction is considered.
 const COMPACT_MIN: usize = 1024;
 
@@ -151,11 +167,22 @@ enum Rows {
 }
 
 impl Rows {
-    fn push(&mut self, row: u32) {
-        match self {
-            Rows::One(r) => *self = Rows::Many(vec![*r, row]),
-            Rows::Many(v) => v.push(row),
-        }
+    /// Add `row`, dropping the tombstoned rows listed so far: a dead row
+    /// never matches a lookup again, and retract/re-derive churn would
+    /// otherwise grow the entry, and every copy of it, without bound.
+    fn push_live(&mut self, row: u32, dead: &[u64]) {
+        let mut live: Vec<u32> = self
+            .as_slice()
+            .iter()
+            .copied()
+            .filter(|&r| !is_set(dead, r))
+            .collect();
+        *self = if live.is_empty() {
+            Rows::One(row)
+        } else {
+            live.push(row);
+            Rows::Many(live)
+        };
     }
 
     fn as_slice(&self) -> &[u32] {
@@ -164,6 +191,13 @@ impl Rows {
             Rows::Many(v) => v,
         }
     }
+}
+
+/// Whether `row`'s bit is set in a row bitmap.
+#[inline]
+fn is_set(bits: &[u64], row: u32) -> bool {
+    bits.get((row >> 6) as usize)
+        .is_some_and(|w| w >> (row & 63) & 1 == 1)
 }
 
 /// A cheap integral total order on `Const` for the sorted runs:
@@ -207,12 +241,55 @@ struct Segment {
     cols: Box<[Box<[Const]>]>,
 }
 
-/// Per-column permutation index: disjoint sorted runs covering rows
+/// Per-column permutation index: disjoint sorted runs over rows
 /// `0..covered`, each ordered by `(key_of(cell), row)`, newest last.
+/// Every row below `covered` that is live appears in exactly one run;
+/// a row tombstoned before it was sealed appears in none, and one
+/// tombstoned since stays listed (*stale*) until a merge drops it.
 #[derive(Clone, Default)]
 struct ColIndex {
     runs: Vec<Arc<[u32]>>,
     covered: u32,
+    /// Tombstoned rows still listed in `runs`.
+    stale: u32,
+}
+
+impl ColIndex {
+    /// Whether the column has been sealed at least once: the columns
+    /// plans probe, as opposed to ones nothing has asked to index.
+    fn is_built(&self) -> bool {
+        self.covered > 0
+    }
+
+    /// Whether more than a sixteenth of the covered rows are stale: the
+    /// point at which sealing collapses the runs.
+    fn too_stale(&self) -> bool {
+        self.stale * 16 > self.covered
+    }
+}
+
+/// The shape of one column's sorted index ([`Relation::index_shape`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexShape {
+    /// Sorted runs: a point probe binary-searches each.
+    pub runs: usize,
+    /// Rows `0..covered` are indexed; probes scan the rest linearly.
+    pub covered: u32,
+    /// Tombstoned rows the runs still list, skipped one by one.
+    pub stale: u32,
+}
+
+/// Growth factor between the size levels of a column's runs: a run
+/// merges into its predecessor once it reaches the predecessor's level
+/// (see [`run_level`]), so a column of `n` rows keeps about
+/// `1 + log_8(n / INDEX_TAIL_MAX)` runs — four or fewer below 500k rows.
+const RUN_GROWTH: usize = 8;
+
+/// The size level of a run of `len` rows: 0 below
+/// `RUN_GROWTH * INDEX_TAIL_MAX` rows, then one more per factor of
+/// [`RUN_GROWTH`].
+fn run_level(len: usize) -> u32 {
+    (len / INDEX_TAIL_MAX as usize).max(1).ilog(RUN_GROWTH)
 }
 
 /// A set of facts of a single predicate in columnar storage.
@@ -229,8 +306,11 @@ pub struct Relation {
     tail: Vec<Vec<Const>>,
     /// Total stored rows, live and tombstoned.
     total: u32,
-    /// Tombstoned row ids (retracted but not yet compacted away).
-    dead: FxHashSet<u32>,
+    /// Tombstone bitmap, one bit per stored row (retracted but not yet
+    /// compacted away); words past the last tombstone are absent.
+    dead: Vec<u64>,
+    /// Number of set bits in `dead`.
+    n_dead: u32,
     /// Frozen dedup map (`tuple hash → row ids`), shared by `clone`;
     /// rows listed here may be tombstoned — lookups filter `dead`.
     frozen: Arc<FxHashMap<u64, Rows>>,
@@ -253,7 +333,8 @@ impl Default for Relation {
             sealed: Vec::new(),
             tail: Vec::new(),
             total: 0,
-            dead: FxHashSet::default(),
+            dead: Vec::new(),
+            n_dead: 0,
             frozen: Arc::default(),
             overlay: FxHashMap::default(),
             indexes: Vec::new(),
@@ -271,6 +352,7 @@ impl Clone for Relation {
             tail: self.tail.clone(),
             total: self.total,
             dead: self.dead.clone(),
+            n_dead: self.n_dead,
             frozen: Arc::clone(&self.frozen),
             overlay: self.overlay.clone(),
             indexes: self.indexes.clone(),
@@ -293,7 +375,7 @@ impl Relation {
 
     /// Number of live facts.
     pub fn len(&self) -> usize {
-        self.total as usize - self.dead.len()
+        (self.total - self.n_dead) as usize
     }
 
     /// Whether the relation holds no facts.
@@ -336,7 +418,7 @@ impl Relation {
             Entry::Vacant(e) => {
                 e.insert(Rows::One(row));
             }
-            Entry::Occupied(mut e) => e.get_mut().push(row),
+            Entry::Occupied(mut e) => e.get_mut().push_live(row, &self.dead),
         }
         if self.total & (SEG_ROWS - 1) == 0 {
             self.seal_segment();
@@ -373,9 +455,9 @@ impl Relation {
     /// skipped. A relation that grows past the bound in the middle of a
     /// round, with no run anywhere, keeps the exact, scanning estimate.
     fn unindexed(&self, col: usize) -> bool {
-        self.indexes[col].runs.is_empty()
+        !self.indexes[col].is_built()
             && self.total > INDEX_TAIL_MAX
-            && self.indexes.iter().any(|i| !i.runs.is_empty())
+            && self.indexes.iter().any(ColIndex::is_built)
     }
 
     /// Whether any column index has been materialized (probed at least
@@ -383,17 +465,37 @@ impl Relation {
     pub(crate) fn has_unsealed_index(&self) -> bool {
         self.indexes
             .iter()
-            .any(|i| !i.runs.is_empty() && i.covered < self.total)
+            .any(|i| i.is_built() && (i.covered < self.total || i.too_stale()))
     }
 
     /// Seal every materialized column index. Columns never probed by any
     /// plan stay unindexed and keep costing nothing.
     pub(crate) fn seal_materialized_indexes(&mut self) {
         for col in 0..self.indexes.len() {
-            if !self.indexes[col].runs.is_empty() && self.indexes[col].covered < self.total {
-                self.seal_runs_col(col);
+            if self.indexes[col].is_built() {
+                self.ensure_index(col);
             }
         }
+    }
+
+    /// The shape of `col`'s sorted index: what one probe of it walks.
+    pub fn index_shape(&self, col: usize) -> IndexShape {
+        self.indexes
+            .get(col)
+            .map_or_else(IndexShape::default, |i| IndexShape {
+                runs: i.runs.len(),
+                covered: i.covered,
+                stale: i.stale,
+            })
+    }
+
+    /// Whether `col`'s index is due for sealing before it is probed or
+    /// published: its unsorted tail has reached [`INDEX_TAIL_MAX`] rows,
+    /// or more than a sixteenth of the rows its runs cover are stale.
+    fn index_due(&self, col: usize) -> bool {
+        self.indexes
+            .get(col)
+            .is_some_and(|i| self.total - i.covered >= INDEX_TAIL_MAX || i.too_stale())
     }
 
     /// Seal `col`'s uncovered rows into its sorted-run index. Called by
@@ -403,7 +505,7 @@ impl Relation {
         if self
             .indexes
             .get(col)
-            .is_some_and(|i| i.covered < self.total)
+            .is_some_and(|i| i.covered < self.total || i.too_stale())
         {
             self.seal_runs_col(col);
         }
@@ -433,54 +535,93 @@ impl Relation {
         self.sealed.push(Arc::new(Segment { cols }));
     }
 
-    /// Sort `col`'s uncovered index tail into a fresh run, then merge
-    /// trailing runs while the newest is at least as long as its
-    /// predecessor — the binary-counter discipline that keeps the run
-    /// count logarithmic and the total merge work O(n log n).
+    /// Sort `col`'s uncovered live tail rows into a fresh run, then
+    /// merge trailing runs while the newest has reached its
+    /// predecessor's size level ([`run_level`]) — a levelled discipline
+    /// that keeps the run count at one per level and the merge work
+    /// O(n log n). Merges drop stale rows; once they exceed a sixteenth
+    /// of the covered rows, every run collapses into one without them.
     fn seal_runs_col(&mut self, col: usize) {
         let mut idx = mem::take(&mut self.indexes[col]);
         // Keys are read once, in storage order, rather than per
         // comparison: the sort then touches no column storage.
-        let mut keyed: Vec<(u128, u32)> = (idx.covered..self.total)
-            .map(|r| (key_of(self.cell(r, col)), r))
-            .collect();
+        let mut keyed: Vec<(u128, u32)> = Vec::with_capacity((self.total - idx.covered) as usize);
+        keyed.extend(
+            (idx.covered..self.total)
+                .filter(|&r| !self.is_dead(r))
+                .map(|r| (key_of(self.cell(r, col)), r)),
+        );
         keyed.sort_unstable();
         idx.covered = self.total;
-        idx.runs.push(keyed.into_iter().map(|(_, r)| r).collect());
-        while idx.runs.len() >= 2
-            && idx.runs[idx.runs.len() - 1].len() >= idx.runs[idx.runs.len() - 2].len()
-        {
+        if !keyed.is_empty() {
+            idx.runs.push(keyed.into_iter().map(|(_, r)| r).collect());
+        }
+        while let [.., a, b] = &idx.runs[..] {
+            if !idx.too_stale() && run_level(b.len()) < run_level(a.len()) {
+                break;
+            }
             let b = idx.runs.pop().expect("run present");
             let a = idx.runs.pop().expect("run present");
-            idx.runs.push(self.merge_runs(&a, &b, col));
+            let merged = self.merge_runs(&a, &b, col);
+            idx.stale -= u32::try_from(a.len() + b.len() - merged.len()).expect("run fits u32");
+            idx.runs.push(merged);
+        }
+        if idx.too_stale() {
+            // A single run: merges never revisit it, so drop its stale
+            // rows directly.
+            if let Some(run) = idx.runs.pop() {
+                let live: Arc<[u32]> = run.iter().copied().filter(|&r| !self.is_dead(r)).collect();
+                if !live.is_empty() {
+                    idx.runs.push(live);
+                }
+            }
+            idx.stale = 0;
         }
         self.indexes[col] = idx;
     }
 
+    /// Merge two runs of `col` into one, dropping tombstoned rows.
     fn merge_runs(&self, a: &[u32], b: &[u32], col: usize) -> Arc<[u32]> {
-        let key = |r: u32| (key_of(self.cell(r, col)), r);
+        // Each row's key is read once: only the side that advanced is
+        // re-keyed.
+        let key = |run: &[u32], i: usize| run.get(i).map(|&r| (key_of(self.cell(r, col)), r));
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if key(a[i]) <= key(b[j]) {
-                out.push(a[i]);
+        let (mut ka, mut kb) = (key(a, 0), key(b, 0));
+        while let (Some(x), Some(y)) = (ka, kb) {
+            if x <= y {
+                out.push(x.1);
                 i += 1;
+                ka = key(a, i);
             } else {
-                out.push(b[j]);
+                out.push(y.1);
                 j += 1;
+                kb = key(b, j);
             }
         }
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
+        if self.n_dead > 0 {
+            out.retain(|&r| !self.is_dead(r));
+        }
         out.into()
     }
 
     /// Fold the overlay into the frozen dedup map once it is both large
-    /// and a noticeable fraction of the frozen map. `Arc::make_mut`
-    /// copies the frozen map only when a clone still shares it; folds
-    /// are rare enough (every quarter-growth at most) to amortize that.
+    /// and a noticeable fraction of the frozen map: a quarter of it
+    /// while this relation owns the map alone. While a clone shares it,
+    /// a fold copies all `m` frozen entries (`Arc::make_mut`) and every
+    /// copy-on-write detach copies the overlay, so the overlay folds at
+    /// about `4·sqrt(m)` entries, which balances the two.
     fn fold_overlay(&mut self) {
-        if self.overlay.len() >= FOLD_MIN && self.overlay.len() * 4 >= self.frozen.len() {
+        let n = self.overlay.len();
+        let m = self.frozen.len();
+        let due = if Arc::strong_count(&self.frozen) > 1 {
+            n >= SHARED_FOLD_MIN && n * n >= 16 * m
+        } else {
+            n >= FOLD_MIN && n * 4 >= m
+        };
+        if due {
             let frozen = Arc::make_mut(&mut self.frozen);
             for (h, rows) in self.overlay.drain() {
                 match frozen.entry(h) {
@@ -489,7 +630,7 @@ impl Relation {
                     }
                     Entry::Occupied(mut e) => {
                         for &r in rows.as_slice() {
-                            e.get_mut().push(r);
+                            e.get_mut().push_live(r, &self.dead);
                         }
                     }
                 }
@@ -521,7 +662,7 @@ impl Relation {
 
     #[inline]
     fn is_dead(&self, row: u32) -> bool {
-        !self.dead.is_empty() && self.dead.contains(&row)
+        is_set(&self.dead, row)
     }
 
     /// The cell at (`row`, `col`).
@@ -585,7 +726,7 @@ impl Relation {
         let mut n = 0;
         for run in &idx.runs {
             let lo = run.partition_point(|&r| key_of(self.cell(r, col)) < k);
-            n += run[lo..].partition_point(|&r| key_of(self.cell(r, col)) == k);
+            n += gallop(run, lo, |&r| key_of(self.cell(r, col)) == k) - lo;
         }
         n + (idx.covered..self.total)
             .filter(|&r| self.cell(r, col) == value)
@@ -601,7 +742,7 @@ impl Relation {
     /// confirms with this count a cost prediction that `count_eq` put
     /// over budget.
     pub(crate) fn count_eq_live(&self, col: usize, value: Const) -> usize {
-        if self.dead.is_empty() && !self.unindexed(col) {
+        if self.n_dead == 0 && !self.unindexed(col) {
             return self.count_eq(col, value);
         }
         let k = key_of(value);
@@ -650,6 +791,7 @@ impl Relation {
     /// The row is tombstoned rather than moved — sorted runs make
     /// id-patching (the old swap-remove scheme) too expensive — and the
     /// relation compacts once tombstones reach half the stored rows.
+    /// Runs that list the row count it as stale until a merge drops it.
     /// When the last fact is retracted the relation returns to its
     /// pristine state (arity forgotten), so a later insert may legally
     /// use a different arity.
@@ -661,13 +803,23 @@ impl Relation {
         let Some(row) = self.find_live(hash, fact) else {
             return false;
         };
-        self.dead.insert(row);
+        let word = (row >> 6) as usize;
+        if self.dead.len() <= word {
+            self.dead.resize(word + 1, 0);
+        }
+        self.dead[word] |= 1 << (row & 63);
+        self.n_dead += 1;
+        for idx in &mut self.indexes {
+            if row < idx.covered {
+                idx.stale += 1;
+            }
+        }
         self.mutations += 1;
         if self.is_empty() {
             *self = Relation::default();
             return true;
         }
-        if self.dead.len() >= COMPACT_MIN && self.dead.len() * 2 >= self.total as usize {
+        if self.n_dead as usize >= COMPACT_MIN && self.n_dead * 2 >= self.total {
             self.compact();
         }
         true
@@ -809,9 +961,9 @@ impl ColCursor<'_> {
 /// relations) and shares every segment, index run, and dedup table with
 /// the original. Mutation goes through [`Arc::make_mut`], which detaches
 /// only the relations a writer actually touches — and a detach itself is
-/// cheap, copying the short mutable tail, the overlay, and the run/
-/// segment pointer lists while continuing to share the sealed column
-/// segments and the frozen dedup map. This is what makes MVCC
+/// cheap, copying under 256 rows of tail cells, the dedup overlay, the
+/// tombstone bitmap, and the run/segment pointer lists while continuing
+/// to share the sealed column segments and the frozen dedup map. This is what makes MVCC
 /// generations cheap — a committed generation can stay pinned by reader
 /// [`Snapshot`](crate::Snapshot)s while the next one is built from a
 /// clone.
@@ -852,16 +1004,16 @@ impl Database {
     }
 
     /// Bring `predicate`'s sorted index on `col` up to date, if the
-    /// column has fallen more than [`INDEX_TAIL_MAX`] rows behind.
-    /// Compiled plans declare the columns they probe and the evaluator
-    /// calls this at round boundaries — the trigger that makes index
-    /// maintenance demand-driven. Detaches the relation (copy-on-write)
-    /// only when there is sealing work to do.
+    /// column has fallen [`INDEX_TAIL_MAX`] rows behind or its runs list
+    /// too many stale rows. Compiled plans declare the columns they
+    /// probe and the evaluator calls this at round boundaries — the
+    /// trigger that makes index maintenance demand-driven. Detaches the
+    /// relation (copy-on-write) only when there is sealing work to do.
     pub(crate) fn ensure_index_id(&mut self, predicate: SymId, col: usize) {
         let Some(rel) = self.relations.get_mut(&predicate) else {
             return;
         };
-        if rel.index_lag(col) >= INDEX_TAIL_MAX {
+        if rel.index_due(col) {
             Arc::make_mut(rel).ensure_index(col);
         }
     }
@@ -1134,8 +1286,9 @@ mod tests {
     #[test]
     fn probes_work_across_sealed_runs_and_segments() {
         // Cross both the INDEX_TAIL_MAX run-seal and the SEG_ROWS
-        // segment-seal thresholds, then verify point probes everywhere.
-        let n = i64::from(SEG_ROWS) + 700;
+        // segment-seal thresholds, and every staggered seal below, then
+        // verify point probes everywhere.
+        let n = 4096 + 700;
         let mut r = Relation::new();
         for i in 0..n {
             r.insert(vec![Const::int(i), Const::int(i % 7)]);
@@ -1284,10 +1437,11 @@ mod tests {
 /// indexes: after any interleaving of inserts, retracts, partial index
 /// seals, and COW clones — sized to cross the segment-seal
 /// ([`SEG_ROWS`]), overlay-fold ([`FOLD_MIN`]), and tombstone-compaction
-/// ([`COMPACT_MIN`]) thresholds — every index run must stay sorted and
-/// jointly partition `0..covered`, and both probe paths
-/// ([`Relation::probe_rows`], [`ColCursor::seek`]) must agree with a
-/// naive scan of the column segments.
+/// ([`COMPACT_MIN`]) thresholds — every index run must stay sorted, the
+/// runs must list every live covered row exactly once (tombstoned rows
+/// only may be absent), and both probe paths ([`Relation::probe_rows`],
+/// [`ColCursor::seek`]) must agree with a naive scan of the column
+/// segments.
 #[cfg(test)]
 mod index_properties {
     use super::*;
@@ -1307,7 +1461,8 @@ mod index_properties {
         for col in 0..arity {
             let idx = &rel.indexes[col];
             // Each run is strictly sorted by (key, row); together the
-            // runs are a permutation of the covered prefix.
+            // runs list every live row of the covered prefix exactly
+            // once, and only tombstoned rows may be absent.
             let mut union: Vec<u32> = Vec::new();
             for run in &idx.runs {
                 for w in run.windows(2) {
@@ -1318,11 +1473,23 @@ mod index_properties {
                 union.extend_from_slice(run);
             }
             union.sort_unstable();
-            assert_eq!(
-                union,
-                (0..idx.covered).collect::<Vec<u32>>(),
-                "runs must partition 0..covered on col {col}"
+            let listed = union.len();
+            union.dedup();
+            assert_eq!(union.len(), listed, "a row is listed twice on col {col}");
+            assert!(
+                union.iter().all(|&r| r < idx.covered),
+                "run row past covered on col {col}"
             );
+            let covered_live: Vec<u32> =
+                live.iter().copied().filter(|&r| r < idx.covered).collect();
+            let listed_live: Vec<u32> =
+                union.iter().copied().filter(|&r| !rel.is_dead(r)).collect();
+            assert_eq!(
+                listed_live, covered_live,
+                "live covered rows missing on col {col}"
+            );
+            let stale = union.iter().filter(|&&r| rel.is_dead(r)).count();
+            assert_eq!(stale, idx.stale as usize, "stale count on col {col}");
             // Ground truth per value, straight from the segment cells.
             let mut truth: FxHashMap<Const, Vec<u32>> = FxHashMap::default();
             for &r in &live {
@@ -1358,7 +1525,7 @@ mod index_properties {
 
         #[test]
         fn sorted_indexes_agree_with_segments(
-            preload in (SEG_ROWS as usize + 40)..(SEG_ROWS as usize + 260),
+            preload in (FOLD_MIN + 40)..(FOLD_MIN + 260),
             ops in proptest::collection::vec((0u8..100, 0usize..12, 0usize..64), 1..48),
         ) {
             // Preload distinct facts past the SEG_ROWS segment seal and
@@ -1407,6 +1574,66 @@ mod index_properties {
             snap.ensure_index(1);
             assert_indexes_agree(&snap);
             prop_assert_eq!(&snap.sorted(), &snap_facts);
+        }
+
+        #[test]
+        fn retract_heavy_churn_keeps_runs_few_and_fresh(
+            preload in 200usize..1500,
+            ops in proptest::collection::vec((0u8..100, 0usize..40, 0usize..2000), 50..400),
+        ) {
+            // Mostly retracts of live rows, with inserts, seals of either
+            // column and COW clones between them, below the compaction
+            // threshold: stale rows pile up in the runs unless sealing
+            // drops them.
+            let mut rel = Relation::new();
+            let mut model: Vec<(usize, usize)> = Vec::new();
+            for i in 0..preload {
+                rel.insert_if_new(&[nv(i % 40), Const::int(i as i64)]);
+                model.push((i % 40, i));
+            }
+            rel.ensure_index(0);
+            rel.ensure_index(1);
+            let mut clones: Vec<(Relation, Vec<Fact>)> = Vec::new();
+            let mut next_id = preload;
+            for &(w, x, y) in &ops {
+                match w {
+                    0..=24 => {
+                        rel.insert_if_new(&[nv(x), Const::int(next_id as i64)]);
+                        model.push((x, next_id));
+                        next_id += 1;
+                    }
+                    25..=79 if !model.is_empty() => {
+                        let (k, v) = model.swap_remove(y % model.len());
+                        prop_assert!(rel.retract(&[nv(k), Const::int(v as i64)]));
+                    }
+                    80..=94 => {
+                        let col = usize::from(w) % 2;
+                        rel.ensure_index(col);
+                        let idx = &rel.indexes[col];
+                        prop_assert!(!idx.too_stale(), "stale {} of {} covered", idx.stale, idx.covered);
+                        prop_assert!(idx.runs.len() <= 4, "{} runs over {} rows", idx.runs.len(), idx.covered);
+                    }
+                    _ => clones.push((rel.clone(), rel.sorted())),
+                }
+            }
+            assert_indexes_agree(&rel);
+            for v in 0..40 {
+                let pat = vec![Some(nv(v)), None];
+                let mut got: Vec<Fact> = rel.matching(&pat).collect();
+                got.sort();
+                let mut want: Vec<Fact> = model
+                    .iter()
+                    .filter(|&&(k, _)| k == v)
+                    .map(|&(k, id)| Fact::from(vec![nv(k), Const::int(id as i64)]))
+                    .collect();
+                want.sort();
+                prop_assert_eq!(got, want);
+            }
+            // Clones are unaffected by every write made after them.
+            for (clone, facts) in &clones {
+                prop_assert_eq!(&clone.sorted(), facts);
+                assert_indexes_agree(clone);
+            }
         }
     }
 }

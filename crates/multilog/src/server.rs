@@ -26,7 +26,10 @@
 //! [`GoalTranslator`] — they never touch the engines, so a reader never
 //! blocks on a writer's delta propagation, and a writer never waits for
 //! readers. The only shared lock a reader takes is the generation
-//! store's pointer read, held for one `Arc` clone.
+//! store's pointer read, held for one `Arc` clone (plus, when a refresh
+//! moves to a newer generation, a push of the old pin onto the store's
+//! retired list: the writer frees it at its next publish, so a reader
+//! never pays for freeing a generation).
 //!
 //! Epochs are global: every level's store counts the same committed
 //! batches, so "epoch *e* at level *l*" names the reduction of exactly
@@ -373,9 +376,10 @@ impl ReaderSession {
     }
 
     /// Re-pin to the newest published generation; returns its epoch.
+    /// The generation this session let go of is freed by the writer's
+    /// next publish, not here.
     pub fn refresh(&mut self) -> u64 {
-        self.snapshot = self.store.snapshot();
-        self.snapshot.epoch()
+        self.store.refresh(&mut self.snapshot)
     }
 
     /// The pinned snapshot itself.
@@ -620,6 +624,78 @@ mod tests {
             "{summary:?}"
         );
         assert_covered(&mut readers, "after a stratum recompute");
+    }
+
+    #[test]
+    fn churned_generations_keep_belief_probes_short_and_retire_promptly() {
+        // Polyinstantiated cells on a few contested keys, read cautiously
+        // by top-level rules: nearly every commit changes some `beaten`
+        // fact. No stratum is recomputed, so only run merges and
+        // collapses keep tombstones out of the `bel` key index.
+        let mut src = String::from("level(u). level(c). level(s). order(u, c). order(c, s).\n");
+        for i in 0..240 {
+            src.push_str(&format!("u[p(k{} : a -u-> v{i})].\n", i % 24));
+        }
+        for k in 0..6 {
+            src.push_str(&format!(
+                "s[d(k{k} : b -s-> y{k})] <- c[p(k{k} : a -C-> V)] << cau.\n"
+            ));
+        }
+        let server = BeliefServer::new(parse_database(&src).unwrap(), EngineOptions::default());
+        let mut readers: Vec<ReaderSession> = ["u", "c", "s"]
+            .iter()
+            .map(|l| server.open_reader(l).unwrap())
+            .collect();
+        let mut writer = server.open_writer().unwrap();
+        let cell = |i: usize| {
+            let (level, class) = [("c", "u"), ("c", "c"), ("u", "u")][i % 3];
+            format!("{level}[p(k{} : a -{class}-> w{i})].", (i * 7) % 6)
+        };
+        let base = |i: usize| format!("u[p(k{} : a -u-> v{i})].", i % 24);
+        let mut recomputed = 0;
+        for i in 0..2000 {
+            // Round r asserts a fresh contested cell and retracts the one
+            // from eight rounds back, and retracts base cell r mod 240
+            // while restoring the one retracted forty rounds back: the
+            // base cells' beliefs sit in the oldest, largest run.
+            let r = i / 4;
+            let update = match i % 4 {
+                0 => assert_fact(&cell(r)),
+                1 if r >= 8 => retract_fact(&cell(r - 8)),
+                2 => retract_fact(&base(r % 240)),
+                3 if r >= 40 => assert_fact(&base((r - 40) % 240)),
+                _ => assert_fact(&cell(10_000 + i)),
+            };
+            let summary = writer.commit(&[update]).unwrap();
+            recomputed += summary
+                .levels
+                .values()
+                .map(|s| s.strata_recomputed)
+                .sum::<usize>();
+            for reader in &mut readers {
+                // The publish freed everything retired before it.
+                assert_eq!(reader.store.retired(), 0, "commit {i}");
+                reader.refresh();
+                assert!(reader.store.retired() <= 1, "commit {i}");
+                let bel = reader.snapshot().database().relation("bel").unwrap();
+                let shape = bel.index_shape(1);
+                assert!(
+                    shape.covered > 0,
+                    "commit {i}: bel key column never indexed"
+                );
+                assert!(
+                    shape.runs <= 4,
+                    "commit {i}: {shape:?} at {}",
+                    reader.user()
+                );
+                assert!(
+                    shape.stale * 16 <= shape.covered,
+                    "commit {i}: {shape:?} at {}",
+                    reader.user()
+                );
+            }
+        }
+        assert_eq!(recomputed, 0);
     }
 
     #[test]
